@@ -1,40 +1,86 @@
-"""Kernel backend selection.
+"""Kernels for the hot inner loops.
 
-The compiled lane (`_kernels_c`, Cython) is preferred when its extension
-module was built; otherwise the pure-Python lane is used.  Override with
-the environment variable PERMWIT_KERNEL_BACKEND=c|py|auto (default auto).
-Both lanes are contract-identical; `benchmarks/bench_kernels.py` compares
-their speed.
+Permutations are raw image tables: `bytes` of length `degree`, where
+table[x] is the 0-based image of 0-based point x.  Composition uses
+`bytes.translate`, which runs at C speed; the translation table must be
+256 bytes long, so generator tables are padded once per closure loop.
 """
 
 from __future__ import annotations
 
-import os
+from typing import Iterable, List, Optional, Sequence, Set
 
-_choice = os.environ.get("PERMWIT_KERNEL_BACKEND", "auto")
-if _choice not in ("auto", "c", "py"):
-    raise RuntimeError(
-        f"PERMWIT_KERNEL_BACKEND must be one of auto/c/py, got {_choice!r}"
-    )
+BACKEND = "py"  # the kernel lane; the benchmark records it with every pass
 
-if _choice == "py":
-    from permwit import _kernels_py as _impl
+_PAD = bytes(256)
 
-    BACKEND = "py"
-else:
-    try:
-        from permwit import _kernels_c as _impl  # type: ignore[no-redef]
 
-        BACKEND = "c"
-    except ImportError:
-        if _choice == "c":
-            raise
-        from permwit import _kernels_py as _impl  # type: ignore[no-redef]
+def _padded(table: bytes) -> bytes:
+    return table + _PAD[len(table):]
 
-        BACKEND = "py"
 
-compose = _impl.compose
-inverse = _impl.inverse
-orbit = _impl.orbit
-close_elements = _impl.close_elements
-conjugacy_orbit = _impl.conjugacy_orbit
+def compose(a: bytes, b: bytes) -> bytes:
+    """Table of the left-action product: result[x] = a[b[x]]."""
+    if len(a) != len(b):
+        raise ValueError("degree mismatch")
+    return b.translate(_padded(a))
+
+
+def inverse(a: bytes) -> bytes:
+    out = bytearray(len(a))
+    for x, y in enumerate(a):
+        out[y] = x
+    return bytes(out)
+
+
+def orbit(start: int, gens: Sequence[bytes]) -> Set[int]:
+    """Closure of a single 0-based point under the generator tables."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        x = stack.pop()
+        for g in gens:
+            y = g[x]
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen
+
+
+def close_elements(degree: int, gens: Iterable[bytes], limit: int) -> Optional[List[bytes]]:
+    """All elements of the group generated by `gens`, in BFS order.
+
+    Starts from the identity and left-multiplies by generators in order.
+    Returns None as soon as more than `limit` elements appear.
+    """
+    padded = [_padded(g) for g in gens]
+    ident = bytes(range(degree))
+    seen = {ident}
+    order = [ident]
+    head = 0
+    while head < len(order):
+        x = order[head]
+        head += 1
+        for g in padded:
+            y = x.translate(g)
+            if y not in seen:
+                if len(order) >= limit:
+                    return None
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def conjugacy_orbit(x: bytes, gens: Sequence[bytes], invs: Sequence[bytes]) -> Set[bytes]:
+    """Closure of x under conjugation by the given generator/inverse pairs."""
+    padded = [(_padded(g), inv) for g, inv in zip(gens, invs)]
+    seen = {x}
+    stack = [x]
+    while stack:
+        e = stack.pop()
+        for g, inv in padded:
+            y = inv.translate(_padded(e.translate(g)))
+            if y not in seen:
+                seen.add(y)
+                stack.append(y)
+    return seen

@@ -200,6 +200,8 @@ def refute(p: int, q: int, samples: int, seed: int,
            order_budget: int = ORDER_BUDGET) -> RefutationReport:
     """Run the census evidence plus the seeded randomized search."""
     _check_hypothesis(p, q)
+    if samples < 0:
+        raise HypothesisError(f"sample count must be non-negative, got {samples}")
     start = time.monotonic()
     entries = census(q)
     sq_elements = _symmetric_elements(q)

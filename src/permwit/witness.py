@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 from permwit.errors import DegreeMismatch, HypothesisError, PermwitError
 from permwit.group import PermGroup, is_normal
 from permwit.numthy import euler_phi, factorize, is_prime, unit_of_order
-from permwit.perm import Permutation
+from permwit.perm import MAX_DEGREE, Permutation
 from permwit.quotient import find_isomorphism, quotient
 
 
@@ -98,7 +98,7 @@ def build_sigma(n: int, i: int) -> Permutation:
 def valid_primes(n: int) -> List[int]:
     """Primes p with p | n and p | phi(n), ascending."""
     if n < 1:
-        raise ValueError(f"degree must be positive, got {n}")
+        raise HypothesisError(f"degree must be positive, got {n}")
     phi = euler_phi(n)
     return [p for p, _ in factorize(n).factors if phi % p == 0]
 
@@ -116,8 +116,8 @@ def construct_witness(n: int, p: int) -> Witness:
     """
     if not is_prime(p):
         raise HypothesisError(f"{p} is not prime")
-    if n < 2:
-        raise HypothesisError(f"degree must be at least 2, got {n}")
+    if not 2 <= n <= MAX_DEGREE:
+        raise HypothesisError(f"degree must be in 2..{MAX_DEGREE}, got {n}")
     failures = []
     if n % p != 0:
         failures.append(f"{p} does not divide n={n}")

@@ -50,6 +50,12 @@ class TestWitnessCommand:
         code, _, err = run_cli(capsys, "witness", "9", "--prime", "5")
         assert code == 2 and "hypothesis fails" in err
 
+    @pytest.mark.parametrize("n", ["0", "-3", "300"])
+    def test_degree_out_of_range_is_input_error(self, capsys, n):
+        code, payload, err = run_cli(capsys, "witness", n)
+        assert code == 2 and payload is None
+        assert err.startswith("error:")
+
 
 class TestVerifyCommand:
     def test_valid_triple(self, capsys, tmp_path):
@@ -136,6 +142,12 @@ class TestRefuteCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "elapsed" not in out1  # timing goes to stderr only
+
+    def test_negative_samples_is_input_error(self, capsys):
+        code, payload, err = run_cli(
+            capsys, "refute", "3", "5", "--samples", "-5")
+        assert code == 2 and payload is None
+        assert err.startswith("error:")
 
     def test_out_of_budget_q(self, capsys):
         code, _, _ = run_cli(capsys, "refute", "3", "11")

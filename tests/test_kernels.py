@@ -1,105 +1,30 @@
-"""Contract parity between the compiled and pure kernel lanes."""
-
-from random import Random
+"""Contract of the kernel module."""
 
 import pytest
 
-from permwit import _kernels_py as py_lane
 from permwit import kernels
 
-try:
-    from permwit import _kernels_c as c_lane
-except ImportError:
-    c_lane = None
-
-needs_c = pytest.mark.skipif(c_lane is None, reason="compiled lane not built")
-
-
-def random_tables(rng, degree, count):
-    out = []
-    for _ in range(count):
-        values = list(range(degree))
-        rng.shuffle(values)
-        out.append(bytes(values))
-    return out
+KERNEL_NAMES = ("compose", "inverse", "orbit", "close_elements", "conjugacy_orbit")
 
 
 def test_backend_reports_lane():
-    assert kernels.BACKEND in ("c", "py")
+    # the benchmark records BACKEND and wraps these names on permwit.kernels
+    assert kernels.BACKEND == "py"
+    for name in KERNEL_NAMES:
+        assert callable(getattr(kernels, name))
 
 
 def test_pure_compose_is_left_action():
     a = bytes([1, 2, 0])  # (1 2 3) 0-based
     b = bytes([1, 0, 2])  # (1 2)
-    c = py_lane.compose(a, b)
+    c = kernels.compose(a, b)
     assert list(c) == [a[b[x]] for x in range(3)]
 
 
 def test_pure_compose_degree_mismatch():
     with pytest.raises(ValueError):
-        py_lane.compose(bytes([0, 1]), bytes([0, 1, 2]))
-
-
-@needs_c
-def test_c_compose_degree_mismatch():
-    with pytest.raises(ValueError):
-        c_lane.compose(bytes([0, 1]), bytes([0, 1, 2]))
-
-
-@needs_c
-def test_compose_and_inverse_parity():
-    rng = Random(99)
-    for _ in range(300):
-        n = rng.randint(1, 64)
-        a, b = random_tables(rng, n, 2)
-        assert c_lane.compose(a, b) == py_lane.compose(a, b)
-        assert c_lane.inverse(a) == py_lane.inverse(a)
-
-
-@needs_c
-def test_orbit_parity():
-    rng = Random(100)
-    for _ in range(100):
-        n = rng.randint(1, 40)
-        gens = random_tables(rng, n, rng.randint(0, 3))
-        start = rng.randrange(n)
-        assert c_lane.orbit(start, gens) == py_lane.orbit(start, gens)
-
-
-@needs_c
-def test_close_elements_parity_including_order():
-    rng = Random(101)
-    for _ in range(40):
-        n = rng.randint(1, 8)
-        gens = random_tables(rng, n, rng.randint(0, 2))
-        limit = 50000
-        assert c_lane.close_elements(n, gens, limit) == \
-            py_lane.close_elements(n, gens, limit)
-
-
-@needs_c
-def test_close_elements_limit_parity():
-    # S_6 has order 720; both lanes must give up at the same budgets
-    gens = [bytes([1, 2, 3, 4, 5, 0]), bytes([1, 0, 2, 3, 4, 5])]
-    for limit in (1, 10, 719):
-        assert c_lane.close_elements(6, gens, limit) is None
-        assert py_lane.close_elements(6, gens, limit) is None
-    full_c = c_lane.close_elements(6, gens, 720)
-    assert full_c is not None and len(full_c) == 720
-    assert full_c == py_lane.close_elements(6, gens, 720)
-
-
-@needs_c
-def test_conjugacy_orbit_parity():
-    rng = Random(102)
-    for _ in range(60):
-        n = rng.randint(2, 10)
-        gens = random_tables(rng, n, rng.randint(1, 3))
-        invs = [py_lane.inverse(g) for g in gens]
-        x = random_tables(rng, n, 1)[0]
-        assert c_lane.conjugacy_orbit(x, gens, invs) == \
-            py_lane.conjugacy_orbit(x, gens, invs)
+        kernels.compose(bytes([0, 1]), bytes([0, 1, 2]))
 
 
 def test_close_elements_trivial_group():
-    assert py_lane.close_elements(4, [], 10) == [bytes(range(4))]
+    assert kernels.close_elements(4, [], 10) == [bytes(range(4))]

@@ -2,7 +2,7 @@ from random import Random
 
 import pytest
 
-from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal
+from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal, PermwitError
 from permwit.group import PermGroup
 from permwit.perm import random_permutation
 from permwit.quotient import (
@@ -69,6 +69,15 @@ class TestQuotient:
             tuple(0 for _ in row) for row in t.table))
         with pytest.raises(Exception):
             broken.validate()
+        # Z_70 with one intercalate swapped: still a loop (a Latin square
+        # with identity 0), but not associative
+        z70 = cyclic_table(70)
+        rows = [list(row) for row in z70.table]
+        for r in (7, 42):
+            rows[r][23], rows[r][58] = rows[r][58], rows[r][23]
+        loop = CayleyTable(reps=z70.reps, table=tuple(map(tuple, rows)))
+        with pytest.raises(PermwitError, match="not associative"):
+            loop.validate()
 
     def test_json_dump_shape(self):
         d = quotient(s5(), a5()).to_json_dict()
