@@ -260,6 +260,9 @@ def census(q: int, deep: bool = False, deep_samples: int = 20000,
     """
     if not is_prime(q):
         raise HypothesisError(f"{q} is not prime")
+    if deep_samples < 0:
+        raise HypothesisError(
+            f"sample count must be non-negative, got {deep_samples}")
     if q > EXACT_LIMIT:
         if q in EXPERIMENTAL and deep:
             return _census_deep(q, deep_samples, seed)

@@ -180,7 +180,7 @@ def main(argv: Optional[list] = None) -> int:
     except PermwitError as exc:
         _info(f"error: {exc}")
         return EXIT_INPUT_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _info(f"error: {exc}")
         return EXIT_INPUT_ERROR
 

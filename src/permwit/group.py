@@ -3,11 +3,18 @@
 Order and membership go through a deterministic Schreier-Sims stabilizer
 chain (base points picked as the smallest moved point at each level, so
 chains and everything derived from them are reproducible across runs).
-Conjugacy classes and the normal-subgroup lattice are enumerated exactly
-for groups within a configurable element budget.
+Each level stores its transversal representatives and their inverses, so
+sifting never inverts a permutation.
 
-A PermGroup is immutable after construction; the chain is built lazily
-and cached.  Distinct groups may be processed in parallel.
+Conjugacy classes and the normal-subgroup lattice are enumerated exactly
+for groups within a configurable element budget.  The lattice works on
+the enumerated elements: a normal subgroup is a union of conjugacy
+classes, so it is keyed by the bitmask of its classes, closures run on
+element sets, and no stabilizer chain is built for any subgroup.
+
+A PermGroup is immutable after construction; its chain, elements and
+conjugacy classes are computed lazily and cached.  Distinct groups may be
+processed in parallel.
 """
 
 from __future__ import annotations
@@ -29,6 +36,9 @@ class _OrderLimitHit(Exception):
 class StabilizerChain:
     """Base, strong generators and per-level transversals for one group.
 
+    `inv_transversals[i]` has the keys of `transversals[i]`, mapped to the
+    inverses of their representatives.
+
     `base_prefix` forces the given 0-based points to head the base (used
     for pointwise stabilizers).  `order_limit` aborts construction with
     _OrderLimitHit as soon as the transversal-size product exceeds it;
@@ -43,6 +53,7 @@ class StabilizerChain:
         self.base: List[int] = []
         self.sgens: List[bytes] = []
         self.transversals: List[Dict[int, bytes]] = []
+        self.inv_transversals: List[Dict[int, bytes]] = []
         for b in base_prefix:
             self._append_level(b)
         seen: Set[bytes] = set()
@@ -58,6 +69,7 @@ class StabilizerChain:
     def _append_level(self, point: int) -> None:
         self.base.append(point)
         self.transversals.append({point: self._ident})
+        self.inv_transversals.append({point: self._ident})
 
     def _cover(self, g: bytes) -> None:
         # ensure g moves some base point, appending a new level if not
@@ -76,28 +88,35 @@ class StabilizerChain:
             raise _OrderLimitHit
 
     def _rebuild_transversal(self, i: int) -> None:
+        # the inverse of s*u_x is u_x^-1 * s^-1, so each level inverts only
+        # its generators, and sifts never invert a representative
         gens = self._gens_at(i)
+        inv_gens = [kernels.inverse(s) for s in gens]
         b = self.base[i]
         trans = {b: self._ident}
+        inv_trans = {b: self._ident}
         queue = [b]
         head = 0
         while head < len(queue):
             x = queue[head]
             head += 1
             ux = trans[x]
-            for s in gens:
+            inv_ux = inv_trans[x]
+            for s, inv_s in zip(gens, inv_gens):
                 y = s[x]
                 if y not in trans:
                     trans[y] = kernels.compose(s, ux)
+                    inv_trans[y] = kernels.compose(inv_ux, inv_s)
                     queue.append(y)
         self.transversals[i] = trans
+        self.inv_transversals[i] = inv_trans
 
     def _sift_from(self, start: int, table: bytes) -> Tuple[bytes, int]:
         for i in range(start, len(self.base)):
-            rep = self.transversals[i].get(table[self.base[i]])
-            if rep is None:
+            inv_rep = self.inv_transversals[i].get(table[self.base[i]])
+            if inv_rep is None:
                 return table, i
-            table = kernels.compose(kernels.inverse(rep), table)
+            table = kernels.compose(inv_rep, table)
         return table, len(self.base)
 
     def sift(self, table: bytes) -> Tuple[bytes, int]:
@@ -116,12 +135,12 @@ class StabilizerChain:
 
     def _check_level(self, i: int) -> Optional[int]:
         trans = self.transversals[i]
+        inv_trans = self.inv_transversals[i]
         gens = self._gens_at(i)
         for x in sorted(trans):
             ux = trans[x]
             for s in gens:
-                uy = trans[s[x]]
-                sg = kernels.compose(kernels.inverse(uy), kernels.compose(s, ux))
+                sg = kernels.compose(inv_trans[s[x]], kernels.compose(s, ux))
                 if sg == self._ident:
                     continue
                 residue, j = self._sift_from(i + 1, sg)
@@ -157,7 +176,7 @@ class StabilizerChain:
 class PermGroup:
     """A permutation group given by generators, with a lazy stabilizer chain."""
 
-    __slots__ = ("_degree", "_generators", "_chain", "_elements")
+    __slots__ = ("_degree", "_generators", "_chain", "_elements", "_classes", "_class_of")
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens = tuple(generators)
@@ -173,6 +192,10 @@ class PermGroup:
         self._generators = gens
         self._chain: Optional[StabilizerChain] = None
         self._elements: Optional[List[bytes]] = None
+        # conjugacy classes as (lex-least member, size), and each element's
+        # index in that list
+        self._classes: Optional[List[Tuple[bytes, int]]] = None
+        self._class_of: Optional[Dict[bytes, int]] = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -339,54 +362,128 @@ class PermGroup:
     def conjugacy_classes(self, budget: int = 10000) -> List[Tuple[Permutation, int]]:
         """(representative, class size) pairs; reps are the lex-least class members."""
         tables = self.element_tables(budget)
-        gen_tables = self._gen_tables()
-        inv_tables = [kernels.inverse(g) for g in gen_tables]
-        seen: Set[bytes] = set()
-        out: List[Tuple[Permutation, int]] = []
-        for t in sorted(tables):
-            if t in seen:
-                continue
-            cls = kernels.conjugacy_orbit(t, gen_tables, inv_tables)
-            seen |= cls
-            out.append((Permutation._from_table(t), len(cls)))
-        assert sum(size for _, size in out) == len(tables)
-        return out
-
-    def _same_group(self, other: "PermGroup") -> bool:
-        if other.order() != self.order():
-            return False
-        return all(self.contains(g) for g in other.generators)
+        if self._classes is None:
+            gen_tables = self._gen_tables()
+            inv_tables = [kernels.inverse(g) for g in gen_tables]
+            class_of: Dict[bytes, int] = {}
+            classes: List[Tuple[bytes, int]] = []
+            for t in sorted(tables):
+                if t in class_of:
+                    continue
+                cls = kernels.conjugacy_orbit(t, gen_tables, inv_tables)
+                class_of.update(dict.fromkeys(cls, len(classes)))
+                classes.append((t, len(cls)))
+            assert sum(size for _, size in classes) == len(tables)
+            self._classes = classes
+            self._class_of = class_of
+        return [(Permutation._from_table(t), size) for t, size in self._classes]
 
     def all_normal_subgroups(self, budget: int = 10000) -> "NormalSubgroupList":
-        """Every normal subgroup, as the join-closure of class-rep normal closures."""
+        """Every normal subgroup, as the join-closure of class-rep normal closures.
+
+        A normal subgroup is a union of conjugacy classes, and it contains a
+        class iff it contains the class representative, so the bitmask of
+        the classes it contains (bit i for the i-th class of
+        `conjugacy_classes`) identifies it exactly; its order is the sum of
+        those class sizes.  Closures run on element sets, where membership
+        is a set lookup, and each element set is dropped once its mask is
+        known.  Subgroups are deduplicated by mask, and two shortcuts skip
+        closures whose result is already registered:
+
+        - N_k, the normal closure of class k, equals N_j when <rep_k> meets
+          class j and N_j holds class k;
+        - the join of N_i and N_j has order |N_i| |N_j| / |N_i & N_j|, so a
+          registered subgroup holding both with that order is the join; each
+          union of two masks is joined at most once.
+
+        The registration order, and so every generator list, is that of
+        closing each class rep under conjugation by the group's generators
+        (as `normal_closure` does) and then joining registered subgroups
+        pairwise until nothing new appears.  No stabilizer chain is built
+        here: each entry's group builds its own lazily, when a caller needs
+        one.
+        """
+        total = len(self.element_tables(budget))
         classes = self.conjugacy_classes(budget)
-        subs: List[PermGroup] = [PermGroup.trivial(self._degree)]
+        reps = [rep.table for rep, _ in classes]
+        sizes = [size for _, size in classes]
+        class_of = self._class_of
+        gen_tables = self._gen_tables()
+        inv_tables = [kernels.inverse(g) for g in gen_tables]
 
-        def register(candidate: PermGroup) -> bool:
-            for s in subs:
-                if s._same_group(candidate):
-                    return False
-            subs.append(candidate)
-            return True
+        def closure(gens: List[bytes]) -> Set[bytes]:
+            return set(kernels.close_elements(self._degree, gens, total))
 
-        for rep, _ in classes:
-            register(self.normal_closure([rep]))
+        def mask_of(members: Set[bytes]) -> int:
+            # only for normal subgroups, which are unions of classes
+            return sum(1 << i for i, rep in enumerate(reps) if rep in members)
+
+        def order_of(mask: int) -> int:
+            return sum(size for i, size in enumerate(sizes) if mask >> i & 1)
+
+        closure_masks: Dict[int, int] = {}  # class index -> mask of its normal closure
+
+        def class_closure(seed: bytes) -> Tuple[Optional[List[bytes]], int]:
+            current = [seed]
+            members = closure(current)
+            # y in <seed> puts N_j (j = class of y) inside N_seed; if N_j also
+            # holds seed's class, the two normal closures are equal
+            for y in members:
+                mask = closure_masks.get(class_of[y], 0)
+                if mask >> class_of[seed] & 1:
+                    return None, mask
+            changed = True
+            while changed:
+                changed = False
+                for g, ginv in zip(gen_tables, inv_tables):
+                    for h in list(current):
+                        c = kernels.compose(g, kernels.compose(h, ginv))
+                        if c not in members:
+                            current.append(c)
+                            members = closure(current)
+                            changed = True
+            return current, mask_of(members)
+
+        # mask -> generator tables, in registration order; the trivial
+        # subgroup comes first, and its mask is bit 0, the identity's class
+        # (the identity is the lex-least element)
+        subs: Dict[int, List[bytes]] = {1: []}
+        for k, rep in enumerate(reps):
+            gens, mask = class_closure(rep)
+            closure_masks[k] = mask
+            if gens is not None:
+                subs.setdefault(mask, gens)
+        orders = {mask: order_of(mask) for mask in subs}
+        joined: Set[int] = set()
         changed = True
         while changed:
             changed = False
-            snapshot = list(subs)
-            for i in range(len(snapshot)):
-                for j in range(i + 1, len(snapshot)):
-                    gens = list(snapshot[i].generators)
-                    for g in snapshot[j].generators:
+            snapshot = list(subs.items())
+            for i, (mask_i, gens_i) in enumerate(snapshot):
+                for mask_j, gens_j in snapshot[i + 1:]:
+                    union = mask_i | mask_j
+                    if union in joined:
+                        continue
+                    joined.add(union)
+                    order = orders[mask_i] * orders[mask_j] // order_of(mask_i & mask_j)
+                    if any(m & union == union and orders[m] == order for m in orders):
+                        continue
+                    gens = list(gens_i)
+                    for g in gens_j:
                         if g not in gens:
                             gens.append(g)
-                    if register(PermGroup(gens, degree=self._degree)):
-                        changed = True
-        total = self.order()
-        subs.sort(key=lambda s: (s.order(), tuple(sorted(g.table for g in s.generators))))
-        entries = [NormalSubgroup(group=s, order=s.order(), index=total // s.order())
-                   for s in subs]
+                    mask = mask_of(closure(gens))
+                    assert mask not in subs and order_of(mask) == order
+                    subs[mask] = gens
+                    orders[mask] = order
+                    changed = True
+        entries = []
+        for mask, gens in subs.items():
+            group = PermGroup([Permutation._from_table(t) for t in gens],
+                              degree=self._degree)
+            entries.append(NormalSubgroup(group=group, order=orders[mask],
+                                          index=total // orders[mask]))
+        entries.sort(key=lambda e: (e.order, tuple(sorted(g.table for g in e.generators))))
         return NormalSubgroupList(parent=self, entries=entries)
 
     def __repr__(self) -> str:

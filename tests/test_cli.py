@@ -83,6 +83,12 @@ class TestVerifyCommand:
         code, _, _ = run_cli(capsys, "verify", "/nonexistent/file.grp")
         assert code == 2
 
+    def test_directory_is_input_error(self, capsys, tmp_path):
+        code = main(["verify", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error:")
+
 
 class TestCensusCommand:
     def test_degree_five(self, capsys):
@@ -96,6 +102,12 @@ class TestCensusCommand:
     def test_out_of_budget(self, capsys):
         code, _, err = run_cli(capsys, "census", "11")
         assert code == 2 and "deep" in err
+
+    def test_negative_samples_is_input_error(self, capsys):
+        code, payload, err = run_cli(
+            capsys, "census", "11", "--deep", "--samples", "-5")
+        assert code == 2 and payload is None
+        assert err.startswith("error:")
 
 
 class TestEmbedCommand:

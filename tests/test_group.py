@@ -5,8 +5,9 @@ import pytest
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
-from permwit.group import PermGroup, group_from_elements, is_normal
+from permwit.group import PermGroup, StabilizerChain, group_from_elements, is_normal
 from permwit.perm import Permutation, parse_cycles, random_permutation
+from permwit.wreath import WreathElement
 
 from samplers import random_group_with_normal
 
@@ -21,6 +22,34 @@ def naive_order(group):
 
 def tau_sigma_9():
     return PermGroup.from_cycles(9, "(1 2 3 4 5 6 7 8 9)", "(2 5 8)(3 9 6)")
+
+
+def normal_subgroup_oracle(group):
+    """Independent oracle: every union of conjugacy classes that holds the
+    identity and is closed under products, by brute force over elements."""
+    elems = kernels.close_elements(
+        group.degree, [g.table for g in group.generators], 6000)
+    classes = []
+    seen = set()
+    for x in elems:
+        if x in seen:
+            continue
+        cls = frozenset(kernels.compose(g, kernels.compose(x, kernels.inverse(g)))
+                        for g in elems)
+        seen |= cls
+        classes.append(cls)
+    ident = bytes(range(group.degree))
+    (identity_class,) = [c for c in classes if ident in c]
+    others = [c for c in classes if c is not identity_class]
+    out = set()
+    for bits in range(1 << len(others)):
+        members = set(identity_class)
+        for i, cls in enumerate(others):
+            if bits >> i & 1:
+                members |= cls
+        if all(kernels.compose(a, b) in members for a in members for b in members):
+            out.add(frozenset(members))
+    return out
 
 
 class TestOrder:
@@ -184,6 +213,39 @@ class TestAllNormalSubgroups:
         c6 = PermGroup.from_cycles(6, "(1 2 3 4 5 6)")
         assert c6.all_normal_subgroups().orders() == (1, 2, 3, 6)
 
+    @pytest.mark.parametrize("group", [
+        PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)"),
+        PermGroup.from_cycles(4, "(1 2 3 4)", "(1 3)"),
+        PermGroup.from_cycles(6, "(1 2)", "(3 4)", "(5 6)"),
+        PermGroup.from_cycles(6, "(1 2 4 3)", "(5 6)"),
+        tau_sigma_9(),
+    ], ids=["S4", "D8", "C2^3", "C4xC2", "tau_sigma_9"])
+    def test_matches_brute_force_oracle(self, group):
+        lattice = group.all_normal_subgroups()
+        found = [sub.group.element_set() for sub in lattice]
+        assert len(set(found)) == len(found)
+        assert set(found) == normal_subgroup_oracle(group)
+        for sub in lattice:
+            assert sub.group.order() == sub.order
+            assert sub.index * sub.order == group.order()
+
+    @pytest.mark.parametrize("group", [
+        PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)"),
+        tau_sigma_9(),
+    ], ids=["S4", "tau_sigma_9"])
+    def test_builds_no_stabilizer_chain(self, group, monkeypatch):
+        group.element_tables()  # builds the group's own chain and elements
+        builds = []
+        original = StabilizerChain.__init__
+
+        def counting_init(chain, *args, **kwargs):
+            builds.append(args)
+            original(chain, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        assert len(group.all_normal_subgroups()) > 2
+        assert builds == []
+
     def test_entries_are_normal_with_consistent_index(self):
         for group in (PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)"),
                       tau_sigma_9()):
@@ -223,6 +285,39 @@ class TestEqualOrbitSizeProperty:
             assert group.degree % size == 0
             # Lagrange, while we have the pair
             assert group.order() % normal.order() == 0
+
+
+def assert_inverse_transversals(chain):
+    ident = bytes(range(chain.degree))
+    assert len(chain.inv_transversals) == len(chain.transversals) == len(chain.base)
+    for trans, inv_trans in zip(chain.transversals, chain.inv_transversals):
+        assert inv_trans.keys() == trans.keys()
+        for x, rep in trans.items():
+            assert kernels.compose(inv_trans[x], rep) == ident
+
+
+class TestInverseTransversals:
+    def test_symmetric_group_s7(self):
+        s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
+        assert s7.order() == 5040
+        assert_inverse_transversals(s7.chain)
+
+    def test_degree_15_wreath_sample(self):
+        rng = Random(15)
+        gens = [WreathElement(top=random_permutation(3, rng),
+                              base=tuple(random_permutation(5, rng) for _ in range(3))
+                              ).as_permutation()
+                for _ in range(2)]
+        group = PermGroup(gens, degree=15)
+        assert group.order() > 1
+        assert_inverse_transversals(group.chain)
+
+    def test_pointwise_stabilizer_chain(self):
+        s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
+        chain = StabilizerChain(7, [g.table for g in s7.generators], base_prefix=[3, 5])
+        assert chain.base[:2] == [3, 5]
+        assert chain.order() == 5040
+        assert_inverse_transversals(chain)
 
 
 class TestPointwiseStabilizer:
