@@ -10,6 +10,14 @@ extensions (double-coset sweeps make each extension pass exact) and
 dedupes up to AGL(1,q)-conjugacy.  Two independent dedupe routes are run
 and must agree: a sweep over canonical class representatives, and a
 complete element-set enumeration partitioned into classes afterwards.
+Each route runs its own sweeps; they share no sweep or closure, so the
+cross-check compares two independent dedupes.
+
+The sweeps work coset by coset on the subgroup A they start from, whose
+elements are known: <A, g> is A extended by whole left cosets
+(`kernels.extend_elements`), the double coset A g A is a union of left
+cosets of A, AGL-conjugates are taken with one conjugator per left coset
+of A & AGL, and the normalizer in S_q is tested one left coset at a time.
 
 Exact for q in {2, 3, 5, 7}.  For q in {11, 13} a seeded randomized
 variant is available behind `deep=True`; it is experimental and makes no
@@ -108,49 +116,60 @@ class _ClassKeyCache:
     def key(self, exact: Fingerprint) -> Fingerprint:
         got = self.cache.get(exact)
         if got is None:
-            got = min(_conjugate_set(exact, u) for u in self.agl)
+            got = min(_agl_conjugates(exact, self.agl))
             self.cache[exact] = got
         return got
 
 
-def _double_coset(gen_tables: Sequence[bytes], g: bytes) -> Set[bytes]:
-    """A g A for the group A generated by gen_tables (BFS by left and right
-    multiplication with generators and inverses)."""
-    muls = []
-    for t in gen_tables:
-        muls.append(t)
-        inv = kernels.inverse(t)
-        if inv != t:
-            muls.append(inv)
-    seen = {g}
-    stack = [g]
-    while stack:
-        x = stack.pop()
-        for t in muls:
-            for y in (kernels.compose(t, x), kernels.compose(x, t)):
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return seen
+def _agl_conjugates(exact: Fingerprint, agl_elements: Sequence[bytes]) -> Set[Fingerprint]:
+    """Every AGL(1,q)-conjugate of the subgroup H with sorted element tuple
+    `exact`.  Conjugation by u and by u*k gives the same group for k in
+    K = H & AGL, so one conjugator per left coset u*K is used; a u inside
+    H gives H itself."""
+    members = set(exact)
+    k_elements = [u for u in agl_elements if u in members]
+    covered: Set[bytes] = set()
+    out: Set[Fingerprint] = set()
+    for u in agl_elements:
+        if u in covered:
+            continue
+        covered.update(kernels.left_coset(u, k_elements))
+        out.add(exact if u in members else _conjugate_set(exact, u))
+    return out
+
+
+def _double_coset(a_elements: Sequence[bytes], g: bytes) -> Set[bytes]:
+    """A g A for the group A listed by `a_elements`: the union of the left
+    cosets (a*g)*A for a in A, each added whole when a*g is not yet
+    covered."""
+    covered: Set[bytes] = set()
+    for a in a_elements:
+        y = kernels.compose(a, g)
+        if y not in covered:
+            covered.update(kernels.left_coset(y, a_elements))
+    return covered
 
 
 def _extension_sweep(q: int, start: Fingerprint, sq_elements: Sequence[bytes],
                      register) -> None:
-    """For the subgroup with element tuple `start`, close <A, g> for every
+    """For the subgroup A with element tuple `start`, close <A, g> for every
     g in S_q; `register(new_exact_tuple)` is called for each closure.
     Sweeps one double coset A g A per closure, which is exact because
-    <A, g> = <A, a g b> for a, b in A."""
-    a_set = set(start)
+    <A, g> = <A, a g b> for a, b in A.  Each closure extends A by whole
+    cosets and stops once it passes |S_q|/2 elements: by Lagrange that
+    closure is S_q itself, registered as the S_q tuple with no sort."""
     gens = [p.table for p in group_from_elements(start, q).generators]
-    covered = set(a_set)
-    limit = len(sq_elements)
+    covered = set(start)
+    half = len(sq_elements) // 2
     for g in sq_elements:
         if g in covered:
             continue
-        closure = kernels.close_elements(q, gens + [g], limit)
-        assert closure is not None
-        register(tuple(sorted(closure)))
-        covered |= _double_coset(gens, g)
+        closure = kernels.extend_elements(start, gens + [g], half)
+        if closure is None:
+            register(tuple(sq_elements))
+        else:
+            register(tuple(sorted(closure)))
+        covered |= _double_coset(start, g)
 
 
 def _enumerate_class_reps(q: int, sq_elements: Sequence[bytes],
@@ -201,20 +220,13 @@ def _partition_into_classes(overgroups: Set[Fingerprint], agl_elements: Sequence
     remaining = set(overgroups)
     canon: List[Fingerprint] = []
     while remaining:
-        seed = min(remaining)
-        orbit = {seed}
-        stack = [seed]
-        while stack:
-            cur = stack.pop()
-            for u in agl_elements:
-                conj = _conjugate_set(cur, u)
-                if conj not in overgroups:
-                    raise PermwitError(
-                        "census completeness cross-check failed: an AGL "
-                        "conjugate of a collected overgroup is missing")
-                if conj in remaining and conj not in orbit:
-                    orbit.add(conj)
-                    stack.append(conj)
+        # an AGL orbit is closed under conjugation, so checking that the
+        # whole orbit was collected checks every conjugate of its members
+        orbit = _agl_conjugates(min(remaining), agl_elements)
+        if not orbit <= overgroups:
+            raise PermwitError(
+                "census completeness cross-check failed: an AGL "
+                "conjugate of a collected overgroup is missing")
         remaining -= orbit
         canon.append(min(orbit))
     return sorted(canon)
@@ -239,15 +251,24 @@ def _in_affine(group: PermGroup, agl: PermGroup, agl_elements: Sequence[bytes]) 
 
 
 def _normalizer_tables(group: PermGroup, sq_elements: Sequence[bytes]) -> List[bytes]:
+    """The normalizer of the group in S_q, as sorted tables.  It is a union
+    of left cosets x*G, so one x per coset is tested, by membership of its
+    generator conjugates in G's element set."""
+    elements = group.element_tables(NORMAL_BUDGET)
+    members = set(elements)
     gen_tables = [g.table for g in group.generators]
-    chain = group.chain
-    out = []
+    covered: Set[bytes] = set()
+    out: List[bytes] = []
     for x in sq_elements:
+        if x in covered:
+            continue
+        coset = kernels.left_coset(x, elements)
+        covered.update(coset)
         xinv = kernels.inverse(x)
-        if all(chain.contains(kernels.compose(x, kernels.compose(t, xinv)))
+        if all(kernels.compose(x, kernels.compose(t, xinv)) in members
                for t in gen_tables):
-            out.append(x)
-    return out
+            out.extend(coset)
+    return sorted(out)
 
 
 def census(q: int, deep: bool = False, deep_samples: int = 20000,

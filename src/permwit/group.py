@@ -425,7 +425,8 @@ class PermGroup:
 
         def class_closure(seed: bytes) -> Tuple[Optional[List[bytes]], int]:
             current = [seed]
-            members = closure(current)
+            elements = kernels.close_elements(self._degree, current, total)
+            members = set(elements)
             # y in <seed> puts N_j (j = class of y) inside N_seed; if N_j also
             # holds seed's class, the two normal closures are equal
             for y in members:
@@ -440,7 +441,8 @@ class PermGroup:
                         c = kernels.compose(g, kernels.compose(h, ginv))
                         if c not in members:
                             current.append(c)
-                            members = closure(current)
+                            elements = kernels.extend_elements(elements, current, total)
+                            members = set(elements)
                             changed = True
             return current, mask_of(members)
 

@@ -75,14 +75,23 @@ def parse_multi_group_text(text: str, count: int) -> List[PermGroup]:
     return [_parse_section(s) for s in sections]
 
 
+def _read_text(path: str) -> str:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise GroupFileError(
+            f"file is not UTF-8 text (byte {exc.start}: {exc.reason})", line) from exc
+
+
 def parse_group_file(path: str) -> PermGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_group_text(fh.read())
+    return parse_group_text(_read_text(path))
 
 
 def parse_multi_group_file(path: str, count: int = 3) -> List[PermGroup]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_multi_group_text(fh.read(), count)
+    return parse_multi_group_text(_read_text(path), count)
 
 
 def format_group(group: PermGroup) -> str:

@@ -4,6 +4,12 @@ Permutations are raw image tables: `bytes` of length `degree`, where
 table[x] is the 0-based image of 0-based point x.  Composition uses
 `bytes.translate`, which runs at C speed; the translation table must be
 256 bytes long, so generator tables are padded once per closure loop.
+
+`close_elements` closes a generating set from the identity by breadth-first
+search.  `extend_elements` grows a group from a subgroup H whose elements
+are already known (Dimino's method): the new group is a disjoint union of
+left cosets y*H, so only one representative per coset is multiplied by the
+generators, and each new coset is added whole.
 """
 
 from __future__ import annotations
@@ -69,6 +75,44 @@ def close_elements(degree: int, gens: Iterable[bytes], limit: int) -> Optional[L
                 seen.add(y)
                 order.append(y)
     return order
+
+
+def left_coset(y: bytes, elements: Sequence[bytes]) -> List[bytes]:
+    """Tables of y*h for h in `elements`, padding y once."""
+    py = _padded(y)
+    return [h.translate(py) for h in elements]
+
+
+def extend_elements(subgroup: Sequence[bytes], gens: Iterable[bytes],
+                    limit: int) -> Optional[List[bytes]]:
+    """All elements of <H, gens>, where `subgroup` lists every element of H,
+    identity first, and `gens` includes generators of H.
+
+    The result is `subgroup` followed by whole left cosets y*H.  Only coset
+    representatives are multiplied by the generators; a product outside the
+    elements found so far starts a new coset, which is disjoint from them.
+    Returns None as soon as more than `limit` elements would appear.
+    """
+    if len(subgroup) > limit:
+        return None
+    padded = [_padded(g) for g in gens]
+    elements = list(subgroup)
+    seen = set(elements)
+    reps = [elements[0]]
+    head = 0
+    while head < len(reps):
+        x = reps[head]
+        head += 1
+        for g in padded:
+            y = x.translate(g)
+            if y not in seen:
+                if len(elements) + len(subgroup) > limit:
+                    return None
+                coset = left_coset(y, subgroup)
+                seen.update(coset)
+                elements.extend(coset)
+                reps.append(y)
+    return elements
 
 
 def conjugacy_orbit(x: bytes, gens: Sequence[bytes], invs: Sequence[bytes]) -> Set[bytes]:

@@ -1,7 +1,16 @@
 import pytest
 
-from permwit.errors import BudgetExceeded, HypothesisError
+from permwit import census as census_module
+from permwit import kernels
+from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
 from permwit.census import (
+    _agl_conjugates,
+    _conjugate_set,
+    _double_coset,
+    _enumerate_all_overgroups,
+    _normalizer_tables,
+    _partition_into_classes,
+    _symmetric_elements,
     affine_group,
     applicable_primes,
     census,
@@ -189,3 +198,64 @@ class TestReports:
         for e in entries:
             assert e.group.is_transitive()
             assert e.order % 11 == 0
+
+
+def _agl_tables(q):
+    return [p.table for p in affine_group(q).elements()]
+
+
+def _exact(entry):
+    return tuple(sorted(entry.group.element_tables()))
+
+
+class TestCosetOracles:
+    """The coset-wise helpers against element-by-element brute force."""
+
+    def test_double_coset(self, census5):
+        sq = _symmetric_elements(5)
+        for entry in census5[:3]:
+            a = entry.group.element_tables()
+            for g in sq[::7]:
+                brute = {kernels.compose(kernels.compose(x, g), y)
+                         for x in a for y in a}
+                assert _double_coset(a, g) == brute
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_agl_conjugates(self, q, census5, census7):
+        agl = _agl_tables(q)
+        for entry in {5: census5, 7: census7}[q]:
+            exact = _exact(entry)
+            brute = {_conjugate_set(exact, u) for u in agl}
+            assert _agl_conjugates(exact, agl) == brute
+
+    def test_symmetric_group_needs_no_conjugation(self, monkeypatch):
+        calls = []
+
+        def counting(tables, u):
+            calls.append(u)
+            return _conjugate_set(tables, u)
+
+        monkeypatch.setattr(census_module, "_conjugate_set", counting)
+        sq = tuple(_symmetric_elements(7))
+        assert _agl_conjugates(sq, _agl_tables(7)) == {sq}
+        assert calls == []
+
+    @pytest.mark.parametrize("q", [5, 7])
+    def test_normalizer_tables(self, q, census5, census7):
+        sq = _symmetric_elements(q)
+        for entry in {5: census5, 7: census7}[q]:
+            members = set(entry.group.element_tables())
+            gens = [g.table for g in entry.group.generators]
+            brute = [x for x in sq
+                     if all(kernels.compose(x, kernels.compose(t, kernels.inverse(x)))
+                            in members for t in gens)]
+            assert _normalizer_tables(entry.group, sq) == brute
+
+    def test_partition_detects_a_missing_conjugate(self):
+        agl = _agl_tables(7)
+        overgroups = _enumerate_all_overgroups(7, _symmetric_elements(7))
+        assert len(_partition_into_classes(overgroups, agl)) == 7
+        orbit = max((_agl_conjugates(f, agl) for f in overgroups), key=len)
+        assert len(orbit) > 1
+        with pytest.raises(PermwitError, match="cross-check"):
+            _partition_into_classes(overgroups - {max(orbit)}, agl)

@@ -90,6 +90,16 @@ class TestVerifyCommand:
         assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_non_utf8_file_is_input_error(capsys, tmp_path, command):
+    path = tmp_path / "binary.grp"
+    path.write_bytes(bytes(range(256)) * 2)
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 class TestCensusCommand:
     def test_degree_five(self, capsys):
         code, payload, err = run_cli(capsys, "census", "5")

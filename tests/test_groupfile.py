@@ -5,7 +5,9 @@ from permwit.group import PermGroup
 from permwit.groupfile import (
     format_group,
     format_groups,
+    parse_group_file,
     parse_group_text,
+    parse_multi_group_file,
     parse_multi_group_text,
 )
 
@@ -65,3 +67,12 @@ def test_multi_group_round_trip():
 def test_multi_group_wrong_count():
     with pytest.raises(GroupFileError, match="expected 3 groups"):
         parse_multi_group_text("degree: 2\n(1 2)\n", 3)
+
+
+@pytest.mark.parametrize("parse", [parse_group_file, parse_multi_group_file])
+def test_non_utf8_file_reports_line(tmp_path, parse):
+    path = tmp_path / "bad.grp"
+    path.write_bytes(b"degree: 3\n(1 2 \xff3)\n")
+    with pytest.raises(GroupFileError) as info:
+        parse(str(path))
+    assert info.value.line == 2

@@ -3,6 +3,7 @@
 import pytest
 
 from permwit import kernels
+from permwit.perm import Permutation
 
 KERNEL_NAMES = ("compose", "inverse", "orbit", "close_elements", "conjugacy_orbit")
 
@@ -28,3 +29,60 @@ def test_pure_compose_degree_mismatch():
 
 def test_close_elements_trivial_group():
     assert kernels.close_elements(4, [], 10) == [bytes(range(4))]
+
+
+def _close(degree, gens, limit=10**6):
+    return kernels.close_elements(degree, gens, limit)
+
+
+def _table(cycles, degree):
+    return Permutation.from_cycles(cycles, degree).table
+
+
+def _extension_cases():
+    c5 = _table("(1 2 3 4 5)", 5)
+    t12 = _table("(1 2)", 5)
+    c7 = _table("(1 2 3 4 5 6 7)", 7)
+    x2 = _table("(2 3 5)(4 7 6)", 7)  # x -> 2x on the field elements 0..6
+    c3 = _table("(1 2 3)", 7)
+    s4 = [_table("(1 2 3 4)", 4), _table("(1 2)", 4)]
+    return {
+        "trivial": (4, [bytes(range(4))], s4),
+        "c5_by_transposition": (5, _close(5, [c5]), [c5, t12]),
+        "f21_to_a7": (7, _close(7, [c7, x2]), [c7, x2, c3]),
+        "whole_group": (4, _close(4, s4), s4),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_extension_cases()))
+def test_extend_elements_matches_close_elements(case):
+    degree, subgroup, gens = _extension_cases()[case]
+    got = kernels.extend_elements(subgroup, gens, 10**6)
+    want = _close(degree, gens)
+    assert len(got) == len(set(got))
+    assert set(got) == set(want)
+    assert got[:len(subgroup)] == subgroup
+    if case == "f21_to_a7":
+        assert len(subgroup) == 21 and len(got) == 2520
+    if case == "whole_group":
+        assert got == subgroup
+
+
+def test_extend_elements_keeps_subgroup_order():
+    degree, subgroup, gens = _extension_cases()["c5_by_transposition"]
+    shuffled = subgroup[:1] + subgroup[:0:-1]
+    got = kernels.extend_elements(shuffled, gens, 120)
+    assert got[:5] == shuffled and len(got) == 120
+
+
+def test_extend_elements_limit_boundary():
+    degree, subgroup, gens = _extension_cases()["c5_by_transposition"]
+    assert kernels.extend_elements(subgroup, gens, 119) is None
+    assert kernels.extend_elements(subgroup, gens, 4) is None
+    assert len(kernels.extend_elements(subgroup, gens, 120)) == 120
+
+
+def test_left_coset_is_left_multiplication():
+    degree, subgroup, gens = _extension_cases()["c5_by_transposition"]
+    y = gens[1]
+    assert kernels.left_coset(y, subgroup) == [kernels.compose(y, h) for h in subgroup]
