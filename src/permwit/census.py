@@ -13,6 +13,10 @@ complete element-set enumeration partitioned into classes afterwards.
 Each route runs its own sweeps; they share no sweep or closure, so the
 cross-check compares two independent dedupes.
 
+Each census fact is computed once: an entry keeps its lattice and, when
+simple, its normalizer in S_q; `census_report` runs the four checks, and
+the refutation pipeline reads its verdicts from that report.
+
 The sweeps work coset by coset on the subgroup A they start from, whose
 elements are known: <A, g> is A extended by whole left cosets
 (`kernels.extend_elements`), the double coset A g A is a union of left
@@ -26,13 +30,15 @@ completeness claim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
 from permwit.group import (
+    NormalSubgroup,
     NormalSubgroupList,
     PermGroup,
     group_from_elements,
@@ -64,6 +70,9 @@ def affine_group(q: int) -> PermGroup:
 
 @dataclass
 class CensusEntry:
+    """A transitive group of degree q.  `normalizer`, its normalizer in S_q,
+    is kept by the exact census for simple entries and is None otherwise."""
+
     q: int
     group: PermGroup
     order: int
@@ -71,7 +80,11 @@ class CensusEntry:
     is_simple: Optional[bool]
     is_2transitive: bool
     in_affine: bool
-    normalizer_index: Optional[int]
+    normalizer: Optional[PermGroup]
+
+    @property
+    def normalizer_index(self) -> Optional[int]:
+        return None if self.normalizer is None else self.normalizer.order() // self.order
 
     def to_json_dict(self) -> dict:
         return {
@@ -93,7 +106,6 @@ def _symmetric_elements(q: int) -> List[bytes]:
         swap = list(range(q))
         swap[0], swap[1] = 1, 0
         gens.append(bytes(swap))
-    import math
     elems = kernels.close_elements(q, gens, math.factorial(q))
     assert elems is not None
     return sorted(elems)
@@ -317,19 +329,17 @@ def census(q: int, deep: bool = False, deep_samples: int = 20000,
             raise PermwitError("census entry lost the standard q-cycle")
         normals = group.all_normal_subgroups(budget=NORMAL_BUDGET)
         simple = len(normals) == 2
-        two_transitive = group.is_2_transitive() if q >= 2 else False
+        two_transitive = group.is_2_transitive()
         in_aff = _in_affine(group, agl, agl_elements)
         if not (in_aff or two_transitive):
             raise PermwitError(
                 f"dichotomy violated at q={q}: order-{order} entry is neither "
                 f"affine nor doubly transitive")
-        norm_index = None
-        if simple:
-            norm_index = len(_normalizer_tables(group, sq_elements)) // order
         entries.append(CensusEntry(
             q=q, group=group, order=order, normal_subgroups=normals,
-            is_simple=simple, is_2transitive=two_transitive,
-            in_affine=in_aff, normalizer_index=norm_index))
+            is_simple=simple, is_2transitive=two_transitive, in_affine=in_aff,
+            normalizer=group_from_elements(_normalizer_tables(group, sq_elements), q)
+            if simple else None))
     entries.sort(key=lambda e: e.order)
     return entries
 
@@ -376,7 +386,7 @@ def _census_deep(q: int, samples: int, seed: int) -> List[CensusEntry]:
             is_simple=(len(normals) == 2) if normals is not None else None,
             is_2transitive=group.is_2_transitive(),
             in_affine=_in_affine(group, agl, agl_elements),
-            normalizer_index=None))
+            normalizer=None))
     entries.sort(key=lambda e: e.order)
     return entries
 
@@ -408,16 +418,17 @@ class WielandtReport:
         }
 
 
-def verify_wielandt(entry: CensusEntry,
-                    sq_elements: Optional[Sequence[bytes]] = None) -> WielandtReport:
+def verify_wielandt(entry: CensusEntry) -> WielandtReport:
     """For a simple transitive entry: the normalizer quotient in S_q is
-    cyclic of order dividing q-1.  Non-simple entries are not applicable."""
+    cyclic of order dividing q-1.  Non-simple entries are not applicable.
+    Reads the stored normalizer; randomized-census entries have none."""
     if not entry.is_simple:
         return WielandtReport(order=entry.order, applicable=False)
-    if sq_elements is None:
-        sq_elements = _symmetric_elements(entry.q)
-    normalizer = group_from_elements(
-        _normalizer_tables(entry.group, sq_elements), entry.q)
+    normalizer = entry.normalizer
+    if normalizer is None:
+        raise BudgetExceeded(
+            f"the normalizer in S_{entry.q} is computed only by the exact "
+            f"census, q <= {EXACT_LIMIT}")
     n_order = normalizer.order()
     index = n_order // entry.order
     table = quotient(normalizer, entry.group, budget=max(index + 1, 2))
@@ -453,26 +464,20 @@ class BurnsideReport:
         }
 
 
+def _simple_transitive_normals(entry: CensusEntry) -> List[NormalSubgroup]:
+    """The entry's nontrivial normal subgroups that are transitive and simple."""
+    return [sub for sub in entry.normal_subgroups or ()
+            if sub.order > 1 and sub.group.is_transitive()
+            and len(sub.group.all_normal_subgroups(NORMAL_BUDGET)) == 2]
+
+
 def verify_burnside(entry: CensusEntry) -> BurnsideReport:
     """Dichotomy: the entry embeds in AGL(1,q), or it is doubly transitive
     with a nonabelian simple transitive normal subgroup."""
-    witness_order = None
-    if entry.normal_subgroups is not None:
-        for sub in entry.normal_subgroups:
-            if sub.order == 1:
-                continue
-            group = sub.group
-            gens = group.generators
-            abelian = all(g * h == h * g
-                          for i, g in enumerate(gens) for h in gens[i + 1:])
-            if abelian:
-                continue
-            if not group.is_transitive():
-                continue
-            if len(group.all_normal_subgroups(NORMAL_BUDGET)) != 2:
-                continue
-            witness_order = sub.order
-            break
+    witness_order = next(
+        (sub.order for sub in _simple_transitive_normals(entry)
+         if any(g * h != h * g for g in sub.generators for h in sub.generators)),
+        None)
     return BurnsideReport(
         order=entry.order,
         in_affine=entry.in_affine,
@@ -577,11 +582,7 @@ def verify_contain(q: int,
     failures = []
     for entry in entries:
         assert entry.normal_subgroups is not None
-        simple_transitive = [
-            sub for sub in entry.normal_subgroups
-            if sub.order > 1 and sub.group.is_transitive()
-            and len(sub.group.all_normal_subgroups(NORMAL_BUDGET)) == 2
-        ]
+        simple_transitive = _simple_transitive_normals(entry)
         if not simple_transitive:
             continue
         checked += 1
@@ -624,8 +625,7 @@ def census_report(q: int, deep: bool = False, deep_samples: int = 20000,
         "entries": [e.to_json_dict() for e in entries],
     }
     if exact:
-        sq_elements = _symmetric_elements(q)
-        wielandt = [verify_wielandt(e, sq_elements).to_json_dict() for e in entries]
+        wielandt = [verify_wielandt(e).to_json_dict() for e in entries]
         burnside = [verify_burnside(e).to_json_dict() for e in entries]
         contain = verify_contain(q, entries).to_json_dict()
         sweeps = {

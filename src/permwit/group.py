@@ -12,9 +12,9 @@ the enumerated elements: a normal subgroup is a union of conjugacy
 classes, so it is keyed by the bitmask of its classes, closures run on
 element sets, and no stabilizer chain is built for any subgroup.
 
-A PermGroup is immutable after construction; its chain, elements and
-conjugacy classes are computed lazily and cached.  Distinct groups may be
-processed in parallel.
+A PermGroup is immutable after construction; its chain, elements,
+conjugacy classes and normal-subgroup lattice are computed lazily and
+cached.  Distinct groups may be processed in parallel.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ class StabilizerChain:
         self._limit = order_limit
         self.base: List[int] = []
         self.sgens: List[bytes] = []
+        # depths[k] is the index of the first base point sgens[k] moves; the
+        # base only grows at its end, so a depth never changes
+        self.depths: List[int] = []
         self.transversals: List[Dict[int, bytes]] = []
         self.inv_transversals: List[Dict[int, bytes]] = []
         for b in base_prefix:
@@ -61,8 +64,7 @@ class StabilizerChain:
             if g == self._ident or g in seen:
                 continue
             seen.add(g)
-            self._cover(g)
-            self.sgens.append(g)
+            self._add_gen(g, self._cover(g))
         self._recompute(0, len(self.base))
         self._complete()
 
@@ -71,15 +73,21 @@ class StabilizerChain:
         self.transversals.append({point: self._ident})
         self.inv_transversals.append({point: self._ident})
 
-    def _cover(self, g: bytes) -> None:
-        # ensure g moves some base point, appending a new level if not
-        if any(g[b] != b for b in self.base):
-            return
+    def _cover(self, g: bytes) -> int:
+        # the depth of g, appending a new level first if g fixes the whole base
+        for k, b in enumerate(self.base):
+            if g[b] != b:
+                return k
         self._append_level(min(x for x in range(self.degree) if g[x] != x))
+        return len(self.base) - 1
+
+    def _add_gen(self, g: bytes, depth: int) -> None:
+        self.sgens.append(g)
+        self.depths.append(depth)
 
     def _gens_at(self, i: int) -> List[bytes]:
-        prefix = self.base[:i]
-        return [g for g in self.sgens if all(g[b] == b for b in prefix)]
+        # the strong generators fixing base[:i] pointwise, in sgens order
+        return [g for g, d in zip(self.sgens, self.depths) if d >= i]
 
     def _recompute(self, lo: int, hi: int) -> None:
         for i in range(lo, hi):
@@ -149,7 +157,7 @@ class StabilizerChain:
                 if j == len(self.base):
                     self._append_level(
                         min(x2 for x2 in range(self.degree) if residue[x2] != x2))
-                self.sgens.append(residue)
+                self._add_gen(residue, j)
                 self._recompute(i + 1, j + 1)
                 return j
         return None
@@ -176,7 +184,8 @@ class StabilizerChain:
 class PermGroup:
     """A permutation group given by generators, with a lazy stabilizer chain."""
 
-    __slots__ = ("_degree", "_generators", "_chain", "_elements", "_classes", "_class_of")
+    __slots__ = ("_degree", "_generators", "_chain", "_elements", "_classes", "_class_of",
+                 "_normals")
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens = tuple(generators)
@@ -196,6 +205,7 @@ class PermGroup:
         # index in that list
         self._classes: Optional[List[Tuple[bytes, int]]] = None
         self._class_of: Optional[Dict[bytes, int]] = None
+        self._normals: Optional[List[NormalSubgroup]] = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -401,9 +411,12 @@ class PermGroup:
         (as `normal_closure` does) and then joining registered subgroups
         pairwise until nothing new appears.  No stabilizer chain is built
         here: each entry's group builds its own lazily, when a caller needs
-        one.
+        one.  The entries are computed once per group, cached, and shared
+        by every list returned.
         """
         total = len(self.element_tables(budget))
+        if self._normals is not None:
+            return NormalSubgroupList(parent=self, entries=self._normals)
         classes = self.conjugacy_classes(budget)
         reps = [rep.table for rep, _ in classes]
         sizes = [size for _, size in classes]
@@ -486,6 +499,9 @@ class PermGroup:
             entries.append(NormalSubgroup(group=group, order=orders[mask],
                                           index=total // orders[mask]))
         entries.sort(key=lambda e: (e.order, tuple(sorted(g.table for g in e.generators))))
+        # cache the entries, not the list: its `parent` would make the group
+        # a reference cycle, freed only by the cyclic garbage collector
+        self._normals = entries
         return NormalSubgroupList(parent=self, entries=entries)
 
     def __repr__(self) -> str:

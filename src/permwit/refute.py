@@ -26,15 +26,7 @@ from permwit.group import PermGroup
 from permwit.numthy import is_prime
 from permwit.perm import Permutation, random_permutation
 from permwit.quotient import find_isomorphism, quotient
-from permwit.census import (
-    EXACT_LIMIT,
-    census,
-    verify_burnside,
-    verify_contain,
-    verify_lemma_pq,
-    verify_wielandt,
-    _symmetric_elements,
-)
+from permwit.census import EXACT_LIMIT, census_report
 from permwit.witness import verify_candidate
 from permwit.wreath import WreathElement
 
@@ -203,13 +195,13 @@ def refute(p: int, q: int, samples: int, seed: int,
     if samples < 0:
         raise HypothesisError(f"sample count must be non-negative, got {samples}")
     start = time.monotonic()
-    entries = census(q)
-    sq_elements = _symmetric_elements(q)
+    # under the hypothesis, p is the only prime the report's sweeps cover
+    evidence = census_report(q)
     verdicts = {
-        "wielandt": all(verify_wielandt(e, sq_elements).passed for e in entries),
-        "burnside": all(verify_burnside(e).passed for e in entries),
-        "containment": verify_contain(q, entries).passed,
-        "index_divisibility": verify_lemma_pq(q, p, entries).passed,
+        "wielandt": all(w["passed"] for w in evidence["wielandt"]),
+        "burnside": all(b["passed"] for b in evidence["burnside"]),
+        "containment": evidence["containment"]["passed"],
+        "index_divisibility": evidence["index_divisibility"][str(p)]["passed"],
     }
     report = RefutationReport(
         p=p, q=q, degree=p * q,
@@ -217,7 +209,7 @@ def refute(p: int, q: int, samples: int, seed: int,
         method=METHOD,
         seed=seed,
         samples_requested=samples,
-        census_orders=[e.order for e in entries],
+        census_orders=evidence["orders"],
         census_verdicts=verdicts,
     )
 

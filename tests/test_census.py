@@ -3,6 +3,7 @@ import pytest
 from permwit import census as census_module
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
+from permwit.group import PermGroup
 from permwit.census import (
     _agl_conjugates,
     _conjugate_set,
@@ -31,6 +32,11 @@ def census5():
 @pytest.fixture(scope="module")
 def census7():
     return census(7)
+
+
+@pytest.fixture(scope="module")
+def deep11():
+    return census(11, deep=True, deep_samples=30, seed=0)
 
 
 class TestAffineGroup:
@@ -114,6 +120,16 @@ class TestWielandt:
         for entries in (census5, census7):
             assert all(verify_wielandt(e).passed for e in entries)
 
+    def test_randomized_census_entry_has_no_normalizer(self, deep11, monkeypatch):
+        def no_symmetric_group(q):
+            raise AssertionError(f"closed S_{q}")
+
+        monkeypatch.setattr(census_module, "_symmetric_elements", no_symmetric_group)
+        c11 = next(e for e in deep11 if e.order == 11)
+        assert c11.is_simple and c11.normalizer is None
+        with pytest.raises(BudgetExceeded):
+            verify_wielandt(c11)
+
 
 class TestBurnside:
     def test_affine_branch(self, census5):
@@ -189,15 +205,50 @@ class TestReports:
         assert set(r["index_divisibility"]) == {"3"}
         assert all(w["passed"] for w in r["wielandt"])
 
-    def test_deep_census_smoke(self):
-        entries = census(11, deep=True, deep_samples=30, seed=0)
-        orders = [e.order for e in entries]
+    def test_deep_census_smoke(self, deep11):
+        orders = [e.order for e in deep11]
         # the affine chain over the 11-cycle is always found
         for expected in (11, 22, 55, 110):
             assert expected in orders
-        for e in entries:
+        for e in deep11:
             assert e.group.is_transitive()
             assert e.order % 11 == 0
+
+    def test_each_census_fact_is_computed_once(self, monkeypatch):
+        calls = {"normalizer": 0, "symmetric": 0}
+        normalizer_tables = census_module._normalizer_tables
+        symmetric_elements = census_module._symmetric_elements
+
+        def counting_normalizer(*args):
+            calls["normalizer"] += 1
+            return normalizer_tables(*args)
+
+        def counting_symmetric(q):
+            calls["symmetric"] += 1
+            return symmetric_elements(q)
+
+        # each lattice computation builds a new entries list, so every call
+        # on one group must return the same list; holding the groups keeps
+        # their ids unique
+        lattices = []
+        all_normal_subgroups = PermGroup.all_normal_subgroups
+
+        def recording_lattice(group, *args, **kwargs):
+            result = all_normal_subgroups(group, *args, **kwargs)
+            lattices.append((group, result.entries))
+            return result
+
+        monkeypatch.setattr(census_module, "_normalizer_tables", counting_normalizer)
+        monkeypatch.setattr(census_module, "_symmetric_elements", counting_symmetric)
+        monkeypatch.setattr(PermGroup, "all_normal_subgroups", recording_lattice)
+        report = census_report(7)
+        assert report["passed"]
+        assert calls["normalizer"] == 3  # one per simple entry
+        assert calls["symmetric"] <= 2
+        first = {}
+        assert lattices
+        for group, entries in lattices:
+            assert first.setdefault(id(group), entries) is entries
 
 
 def _agl_tables(q):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -184,3 +185,27 @@ class TestExitCodeSeparation:
         bad_input = tmp_path / "broken.grp"
         bad_input.write_text("degree: -1\n")
         assert run_cli(capsys, "verify", str(bad_input))[0] == 2
+
+
+# the exit code and the sha256 of stdout of each command, recorded from an
+# earlier version of the program: reports must stay byte-identical, so any
+# change to their printed bytes fails here
+GOLDEN = {
+    "census 5": (0, "3d8e12a2e3479d0d036211c5b791ed9b32363250bb997513c4bb2eda6121dbcf"),
+    "census 7": (0, "1bbd2bb4eb889a62daf6f68150c48bf59392f04ea53c55e46af8563985c477dd"),
+    "refute 3 5 --samples 300 --seed 1":
+        (0, "9a4bcac0091b19bc11a1a9040d0681bb4442800ef2249ae4eefb7e6f23c02aa2"),
+    "refute 5 7 --samples 100 --seed 1":
+        (0, "47142795e81a190fac315bc450e5368de09dfb1e3526628cccd91d8d1b1fc30b"),
+    "witness 9": (0, "e47856968814b7762969e8259d95a4c107cdd9d6f7fbb931bb87e57ffc504777"),
+    "witness 21": (0, "ba4804d870682e0be9b6208ea2f2840ab9de719384d859782d6fead629982286"),
+    "witness 100": (0, "415705a57d393989365d77ee07a65cc6c341f4467e5ce49abc7ddefe8d2e2167"),
+    "witness 255": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN))
+def test_golden_output(capsys, command):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]

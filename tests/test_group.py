@@ -246,6 +246,13 @@ class TestAllNormalSubgroups:
         assert len(group.all_normal_subgroups()) > 2
         assert builds == []
 
+    def test_lattice_is_cached_and_budget_still_checked(self):
+        s5 = PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)")
+        first = s5.all_normal_subgroups()
+        assert s5.all_normal_subgroups().entries is first.entries
+        with pytest.raises(BudgetExceeded):
+            s5.all_normal_subgroups(budget=100)
+
     def test_entries_are_normal_with_consistent_index(self):
         for group in (PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)"),
                       tau_sigma_9()):
@@ -296,28 +303,51 @@ def assert_inverse_transversals(chain):
             assert kernels.compose(inv_trans[x], rep) == ident
 
 
+def s7_chain():
+    return PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)").chain
+
+
+def wreath_15_chain():
+    rng = Random(15)
+    gens = [WreathElement(top=random_permutation(3, rng),
+                          base=tuple(random_permutation(5, rng) for _ in range(3))
+                          ).as_permutation()
+            for _ in range(2)]
+    return PermGroup(gens, degree=15).chain
+
+
+def s7_prefix_chain():
+    s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
+    return StabilizerChain(7, [g.table for g in s7.generators], base_prefix=[3, 5])
+
+
 class TestInverseTransversals:
     def test_symmetric_group_s7(self):
-        s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
-        assert s7.order() == 5040
-        assert_inverse_transversals(s7.chain)
+        chain = s7_chain()
+        assert chain.order() == 5040
+        assert_inverse_transversals(chain)
 
     def test_degree_15_wreath_sample(self):
-        rng = Random(15)
-        gens = [WreathElement(top=random_permutation(3, rng),
-                              base=tuple(random_permutation(5, rng) for _ in range(3))
-                              ).as_permutation()
-                for _ in range(2)]
-        group = PermGroup(gens, degree=15)
-        assert group.order() > 1
-        assert_inverse_transversals(group.chain)
+        chain = wreath_15_chain()
+        assert chain.order() > 1
+        assert_inverse_transversals(chain)
 
     def test_pointwise_stabilizer_chain(self):
-        s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
-        chain = StabilizerChain(7, [g.table for g in s7.generators], base_prefix=[3, 5])
+        chain = s7_prefix_chain()
         assert chain.base[:2] == [3, 5]
         assert chain.order() == 5040
         assert_inverse_transversals(chain)
+
+
+@pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],
+                         ids=["S7", "wreath_15", "S7_base_prefix"])
+def test_gens_at_matches_prefix_scan(build):
+    chain = build()
+    assert len(chain.depths) == len(chain.sgens)
+    for i in range(len(chain.base) + 1):
+        prefix = chain.base[:i]
+        scan = [g for g in chain.sgens if all(g[b] == b for b in prefix)]
+        assert chain._gens_at(i) == scan
 
 
 class TestPointwiseStabilizer:
