@@ -23,16 +23,13 @@ elements are known: <A, g> is A extended by whole left cosets
 cosets of A, AGL-conjugates are taken with one conjugator per left coset
 of A & AGL, and the normalizer in S_q is tested one left coset at a time.
 
-Exact for q in {2, 3, 5, 7}.  For q in {11, 13} a seeded randomized
-variant is available behind `deep=True`; it is experimental and makes no
-completeness claim.
+Exact for q in {2, 3, 5, 7}; larger degrees are out of budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from random import Random
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
@@ -44,12 +41,11 @@ from permwit.group import (
     group_from_elements,
 )
 from permwit.numthy import is_prime, primitive_root
-from permwit.perm import Permutation, random_permutation
+from permwit.perm import Permutation
 from permwit.quotient import is_cyclic, quotient
 from permwit.witness import standard_cycle
 
 EXACT_LIMIT = 7
-EXPERIMENTAL = (11, 13)
 NORMAL_BUDGET = 10000
 
 Fingerprint = Tuple[bytes, ...]
@@ -71,13 +67,13 @@ def affine_group(q: int) -> PermGroup:
 @dataclass
 class CensusEntry:
     """A transitive group of degree q.  `normalizer`, its normalizer in S_q,
-    is kept by the exact census for simple entries and is None otherwise."""
+    is kept for simple entries and is None otherwise."""
 
     q: int
     group: PermGroup
     order: int
-    normal_subgroups: Optional[NormalSubgroupList]
-    is_simple: Optional[bool]
+    normal_subgroups: NormalSubgroupList
+    is_simple: bool
     is_2transitive: bool
     in_affine: bool
     normalizer: Optional[PermGroup]
@@ -90,9 +86,7 @@ class CensusEntry:
         return {
             "order": self.order,
             "generators": [g.cycle_string() for g in self.group.generators],
-            "normal_subgroup_orders":
-                list(self.normal_subgroups.orders())
-                if self.normal_subgroups is not None else None,
+            "normal_subgroup_orders": list(self.normal_subgroups.orders()),
             "is_simple": self.is_simple,
             "is_2transitive": self.is_2transitive,
             "in_affine": self.in_affine,
@@ -283,25 +277,16 @@ def _normalizer_tables(group: PermGroup, sq_elements: Sequence[bytes]) -> List[b
     return sorted(out)
 
 
-def census(q: int, deep: bool = False, deep_samples: int = 20000,
-           seed: int = 0) -> List[CensusEntry]:
+def census(q: int) -> List[CensusEntry]:
     """All transitive subgroups of S_q up to conjugacy, smallest order first.
 
-    Exact (with the two dedupe routes cross-checked) for q <= 7.  For
-    q in {11, 13}, `deep=True` runs the experimental randomized variant;
-    anything else is out of budget.
+    Exact, with the two dedupe routes cross-checked, for q <= 7; larger
+    q raises BudgetExceeded.
     """
     if not is_prime(q):
         raise HypothesisError(f"{q} is not prime")
-    if deep_samples < 0:
-        raise HypothesisError(
-            f"sample count must be non-negative, got {deep_samples}")
     if q > EXACT_LIMIT:
-        if q in EXPERIMENTAL and deep:
-            return _census_deep(q, deep_samples, seed)
-        raise BudgetExceeded(
-            f"census is exact only for q <= {EXACT_LIMIT}; q in {EXPERIMENTAL} "
-            f"runs experimentally behind deep=True")
+        raise BudgetExceeded(f"census is exact only for q <= {EXACT_LIMIT}")
 
     sq_elements = _symmetric_elements(q)
     agl = affine_group(q)
@@ -344,53 +329,6 @@ def census(q: int, deep: bool = False, deep_samples: int = 20000,
     return entries
 
 
-def _census_deep(q: int, samples: int, seed: int) -> List[CensusEntry]:
-    """Experimental randomized census for q in {11, 13}: seeds the closure
-    search with all affine extensions of the standard cycle plus random
-    elements.  May miss classes; never enumerates element sets."""
-    rng = Random(seed)
-    cycle = standard_cycle(q)
-    agl = affine_group(q)
-    agl_elements = [p.table for p in agl.elements(budget=q * q)]
-    candidates: List[PermGroup] = []
-
-    def same_class(a: PermGroup, b: PermGroup) -> bool:
-        if a.order() != b.order():
-            return False
-        for u in agl_elements:
-            uperm = Permutation._from_table(u)
-            if all(b.contains(g.conjugate(uperm)) for g in a.generators):
-                return True
-        return False
-
-    def offer(group: PermGroup) -> None:
-        if not group.is_transitive():
-            return
-        if any(same_class(group, c) for c in candidates):
-            return
-        candidates.append(group)
-
-    for u in agl_elements:
-        offer(PermGroup([cycle, Permutation._from_table(u)]))
-    for _ in range(samples):
-        offer(PermGroup([cycle, random_permutation(q, rng)]))
-
-    entries = []
-    for group in candidates:
-        order = group.order()
-        small = not group.order_exceeds(NORMAL_BUDGET)
-        normals = group.all_normal_subgroups(NORMAL_BUDGET) if small else None
-        entries.append(CensusEntry(
-            q=q, group=group, order=order,
-            normal_subgroups=normals,
-            is_simple=(len(normals) == 2) if normals is not None else None,
-            is_2transitive=group.is_2_transitive(),
-            in_affine=_in_affine(group, agl, agl_elements),
-            normalizer=None))
-    entries.sort(key=lambda e: e.order)
-    return entries
-
-
 @dataclass
 class WielandtReport:
     order: int
@@ -421,14 +359,10 @@ class WielandtReport:
 def verify_wielandt(entry: CensusEntry) -> WielandtReport:
     """For a simple transitive entry: the normalizer quotient in S_q is
     cyclic of order dividing q-1.  Non-simple entries are not applicable.
-    Reads the stored normalizer; randomized-census entries have none."""
+    Reads the normalizer stored on the entry."""
     if not entry.is_simple:
         return WielandtReport(order=entry.order, applicable=False)
     normalizer = entry.normalizer
-    if normalizer is None:
-        raise BudgetExceeded(
-            f"the normalizer in S_{entry.q} is computed only by the exact "
-            f"census, q <= {EXACT_LIMIT}")
     n_order = normalizer.order()
     index = n_order // entry.order
     table = quotient(normalizer, entry.group, budget=max(index + 1, 2))
@@ -466,7 +400,7 @@ class BurnsideReport:
 
 def _simple_transitive_normals(entry: CensusEntry) -> List[NormalSubgroup]:
     """The entry's nontrivial normal subgroups that are transitive and simple."""
-    return [sub for sub in entry.normal_subgroups or ()
+    return [sub for sub in entry.normal_subgroups
             if sub.order > 1 and sub.group.is_transitive()
             and len(sub.group.all_normal_subgroups(NORMAL_BUDGET)) == 2]
 
@@ -509,8 +443,7 @@ class LemmaPqReport:
         }
 
 
-def verify_lemma_pq(q: int, p: int,
-                    entries: Optional[List[CensusEntry]] = None) -> LemmaPqReport:
+def verify_lemma_pq(q: int, p: int, entries: List[CensusEntry]) -> LemmaPqReport:
     """Exhaustive divisibility sweep over the census: for every transitive A
     of degree q and every normal B of A, p | [A:B] forces q | [A:B]; the
     stronger form additionally forces B trivial.  Requires p < q primes
@@ -522,13 +455,10 @@ def verify_lemma_pq(q: int, p: int,
     if (q - 1) % p == 0:
         raise HypothesisError(
             f"{p} divides {q}-1 = {q - 1}; the divisibility sweep does not apply")
-    if entries is None:
-        entries = census(q)
     pairs = 0
     violations = []
     strong = []
     for entry in entries:
-        assert entry.normal_subgroups is not None
         for sub in entry.normal_subgroups:
             pairs += 1
             if sub.index % p != 0:
@@ -569,19 +499,15 @@ class ContainReport:
         }
 
 
-def verify_contain(q: int,
-                   entries: Optional[List[CensusEntry]] = None) -> ContainReport:
+def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
     """Whenever a census entry G has a transitive simple normal subgroup H,
     every nontrivial normal subgroup of G must contain H.  Also checks
     directly that the centralizer of the standard q-cycle in S_q is the
     cycle's own group (order exactly q)."""
-    if entries is None:
-        entries = census(q)
     sq_elements = _symmetric_elements(q)
     checked = 0
     failures = []
     for entry in entries:
-        assert entry.normal_subgroups is not None
         simple_transitive = _simple_transitive_normals(entry)
         if not simple_transitive:
             continue
@@ -611,35 +537,31 @@ def applicable_primes(q: int) -> List[int]:
     return [p for p in range(2, q) if is_prime(p) and (q - 1) % p != 0]
 
 
-def census_report(q: int, deep: bool = False, deep_samples: int = 20000,
-                  seed: int = 0) -> dict:
+def census_report(q: int) -> dict:
     """JSON-ready full census report: entries, flags, and all verdicts."""
-    entries = census(q, deep=deep, deep_samples=deep_samples, seed=seed)
-    exact = q <= EXACT_LIMIT
-    report: dict = {
+    entries = census(q)
+    wielandt = [verify_wielandt(e).to_json_dict() for e in entries]
+    burnside = [verify_burnside(e).to_json_dict() for e in entries]
+    contain = verify_contain(q, entries).to_json_dict()
+    sweeps = {
+        str(p): verify_lemma_pq(q, p, entries).to_json_dict()
+        for p in applicable_primes(q)
+    }
+    return {
         "q": q,
-        "method": "exact" if exact else "randomized-experimental",
-        "complete": exact,
+        "method": "exact",
+        "complete": True,
         "entry_count": len(entries),
         "orders": [e.order for e in entries],
         "entries": [e.to_json_dict() for e in entries],
-    }
-    if exact:
-        wielandt = [verify_wielandt(e).to_json_dict() for e in entries]
-        burnside = [verify_burnside(e).to_json_dict() for e in entries]
-        contain = verify_contain(q, entries).to_json_dict()
-        sweeps = {
-            str(p): verify_lemma_pq(q, p, entries).to_json_dict()
-            for p in applicable_primes(q)
-        }
-        report["wielandt"] = wielandt
-        report["burnside"] = burnside
-        report["containment"] = contain
-        report["index_divisibility"] = sweeps
-        report["passed"] = (
+        "wielandt": wielandt,
+        "burnside": burnside,
+        "containment": contain,
+        "index_divisibility": sweeps,
+        "passed": (
             all(w["passed"] for w in wielandt)
             and all(b["passed"] for b in burnside)
             and contain["passed"]
             and all(s["passed"] for s in sweeps.values())
-        )
-    return report
+        ),
+    }

@@ -2,7 +2,7 @@
 
     permwit witness <n> [--prime p]
     permwit verify <file>
-    permwit census <q> [--deep] [--samples N] [--seed S]
+    permwit census <q>
     permwit embed <file>
     permwit refute <p> <q> [--samples N] [--seed S]
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import time
 from typing import Optional
 
 from permwit.census import census_report
@@ -25,10 +24,8 @@ from permwit.errors import PermwitError
 from permwit.groupfile import parse_multi_group_file
 from permwit.refute import refute
 from permwit.witness import (
-    Witness,
     construct_witness,
     smallest_valid_prime,
-    valid_primes,
     verify_candidate,
     verify_witness,
 )
@@ -95,15 +92,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    report = census_report(args.q, deep=args.deep, deep_samples=args.samples,
-                           seed=args.seed)
+    report = census_report(args.q)
     _emit({"command": "census", **report})
-    passed = report.get("passed", True)
+    passed = report["passed"]
     _info(f"census q={args.q}: {report['entry_count']} classes, "
           f"orders {report['orders']}"
           + ("" if passed else " -- VERDICT FAILURES"))
-    if not report["complete"]:
-        _info("experimental randomized census: the class list may be incomplete")
     return EXIT_PASS if passed else EXIT_MATH_FAIL
 
 
@@ -149,12 +143,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cen = sub.add_parser("census",
                            help="enumerate transitive groups of prime degree q")
     p_cen.add_argument("q", type=int)
-    p_cen.add_argument("--deep", action="store_true",
-                       help="experimental randomized run for q in {11, 13}")
-    p_cen.add_argument("--samples", type=int, default=20000,
-                       help="random closures for --deep (default 20000)")
-    p_cen.add_argument("--seed", type=int, default=0,
-                       help="seed for --deep (default 0)")
     p_cen.set_defaults(func=cmd_census)
 
     p_emb = sub.add_parser("embed",

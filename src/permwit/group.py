@@ -556,17 +556,25 @@ def is_normal(n_group: PermGroup, g_group: PermGroup) -> bool:
 
 
 def group_from_elements(tables: Iterable[bytes], degree: int) -> PermGroup:
-    """A PermGroup with a small generating set recovering the given element list."""
+    """A PermGroup with a small generating set for the group whose element
+    tables are given; they must list a whole group.
+
+    Walks the sorted tables and makes each one outside the subgroup
+    generated so far a new generator.  The subgroup's elements grow by whole
+    cosets (`kernels.extend_elements`), so membership is a set lookup and no
+    stabilizer chain is built.
+    """
     tables = sorted(set(tables))
-    ident = bytes(range(degree))
+    elements: Optional[List[bytes]] = [bytes(range(degree))]
+    members = set(elements)
     gens: List[bytes] = []
-    chain: Optional[StabilizerChain] = None
     for t in tables:
-        if t == ident:
-            continue
-        if chain is None or not chain.contains(t):
+        if len(members) == len(tables):
+            break
+        if t not in members:
             gens.append(t)
-            chain = StabilizerChain(degree, gens)
-            if chain.order() == len(tables):
-                break
+            elements = kernels.extend_elements(elements, gens, len(tables))
+            if elements is None:
+                raise ValueError("the tables do not form a group")
+            members = set(elements)
     return PermGroup([Permutation._from_table(t) for t in gens], degree=degree)

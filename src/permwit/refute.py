@@ -19,7 +19,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from random import Random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from permwit.errors import BudgetExceeded, HypothesisError
 from permwit.group import PermGroup
@@ -151,18 +151,17 @@ class _SampleOutcome:
     counterexamples: List[dict] = field(default_factory=list)
 
 
-def _analyze_sample(gens: List[Permutation], degree: int,
-                    order_budget: int) -> _SampleOutcome:
+def _analyze_sample(gens: List[Permutation], degree: int) -> _SampleOutcome:
     outcome = _SampleOutcome()
     group = PermGroup(gens, degree=degree)
     if not group.is_transitive():
         return outcome
     outcome.transitive = True
-    if group.order_exceeds(order_budget):
+    if group.order_exceeds(ORDER_BUDGET):
         outcome.large = True
         return outcome
     outcome.small = True
-    normals = group.all_normal_subgroups(order_budget)
+    normals = group.all_normal_subgroups(ORDER_BUDGET)
     transitive_subs = [s for s in normals if s.group.is_transitive()]
     other_subs = [s for s in normals if not s.group.is_transitive()]
     for n1 in transitive_subs:
@@ -188,8 +187,7 @@ def _analyze_sample(gens: List[Permutation], degree: int,
     return outcome
 
 
-def refute(p: int, q: int, samples: int, seed: int,
-           order_budget: int = ORDER_BUDGET) -> RefutationReport:
+def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
     """Run the census evidence plus the seeded randomized search."""
     _check_hypothesis(p, q)
     if samples < 0:
@@ -222,7 +220,7 @@ def refute(p: int, q: int, samples: int, seed: int,
         key = tuple(sorted(g.table for g in gens))
         outcome = cache.get(key)
         if outcome is None:
-            outcome = _analyze_sample(gens, degree, order_budget)
+            outcome = _analyze_sample(gens, degree)
             cache[key] = outcome
         if outcome.transitive:
             report.transitive_found += 1

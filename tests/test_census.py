@@ -34,11 +34,6 @@ def census7():
     return census(7)
 
 
-@pytest.fixture(scope="module")
-def deep11():
-    return census(11, deep=True, deep_samples=30, seed=0)
-
-
 class TestAffineGroup:
     def test_orders(self):
         assert affine_group(2).order() == 2
@@ -91,7 +86,7 @@ class TestCensusCounts:
         assert simple7 == {7, 168, 2520}
 
     def test_out_of_budget(self):
-        with pytest.raises(BudgetExceeded, match="deep"):
+        with pytest.raises(BudgetExceeded, match="q <= 7"):
             census(11)
         with pytest.raises(HypothesisError):
             census(9)
@@ -119,16 +114,6 @@ class TestWielandt:
     def test_all_entries_pass(self, census5, census7):
         for entries in (census5, census7):
             assert all(verify_wielandt(e).passed for e in entries)
-
-    def test_randomized_census_entry_has_no_normalizer(self, deep11, monkeypatch):
-        def no_symmetric_group(q):
-            raise AssertionError(f"closed S_{q}")
-
-        monkeypatch.setattr(census_module, "_symmetric_elements", no_symmetric_group)
-        c11 = next(e for e in deep11 if e.order == 11)
-        assert c11.is_simple and c11.normalizer is None
-        with pytest.raises(BudgetExceeded):
-            verify_wielandt(c11)
 
 
 class TestBurnside:
@@ -204,15 +189,6 @@ class TestReports:
         assert r["orders"] == [5, 10, 20, 60, 120]
         assert set(r["index_divisibility"]) == {"3"}
         assert all(w["passed"] for w in r["wielandt"])
-
-    def test_deep_census_smoke(self, deep11):
-        orders = [e.order for e in deep11]
-        # the affine chain over the 11-cycle is always found
-        for expected in (11, 22, 55, 110):
-            assert expected in orders
-        for e in deep11:
-            assert e.group.is_transitive()
-            assert e.order % 11 == 0
 
     def test_each_census_fact_is_computed_once(self, monkeypatch):
         calls = {"normalizer": 0, "symmetric": 0}

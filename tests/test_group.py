@@ -4,6 +4,7 @@ from random import Random
 import pytest
 
 from permwit import kernels
+from permwit.census import affine_group, census
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
 from permwit.group import PermGroup, StabilizerChain, group_from_elements, is_normal
 from permwit.perm import Permutation, parse_cycles, random_permutation
@@ -363,12 +364,69 @@ class TestPointwiseStabilizer:
         assert stab.order() == 3
 
 
+def chain_generators(tables, degree):
+    """Reference: the generator choice of `group_from_elements` defined by a
+    stabilizer chain rebuilt for each generator picked."""
+    tables = sorted(set(tables))
+    ident = bytes(range(degree))
+    gens = []
+    chain = None
+    for t in tables:
+        if t == ident:
+            continue
+        if chain is None or not chain.contains(t):
+            gens.append(t)
+            chain = StabilizerChain(degree, gens)
+            if chain.order() == len(tables):
+                break
+    return gens
+
+
+def census_groups(q):
+    return [entry.group for entry in census(q)]
+
+
 class TestGroupFromElements:
     def test_recovers_group_with_few_generators(self):
         s4 = PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)")
         rebuilt = group_from_elements(s4.element_tables(), 4)
         assert rebuilt.order() == 24
         assert len(rebuilt.generators) <= 3
+
+    @pytest.mark.parametrize("groups", [
+        lambda: [PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)")],
+        lambda: [tau_sigma_9()],
+        lambda: [affine_group(7)],
+        lambda: census_groups(5),
+        lambda: census_groups(7),
+    ], ids=["S4", "tau_sigma_9", "AGL(1,7)", "census5", "census7"])
+    def test_matches_chain_based_choice(self, groups):
+        for group in groups():
+            tables = group.element_tables()
+            gens = [g.table for g in group_from_elements(tables, group.degree).generators]
+            assert gens == chain_generators(tables, group.degree)
+
+    def test_builds_no_stabilizer_chain(self, monkeypatch):
+        s5 = PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)")
+        tables = s5.element_tables()
+        builds = []
+        original = StabilizerChain.__init__
+
+        def counting_init(chain, *args, **kwargs):
+            builds.append(args)
+            original(chain, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        rebuilt = group_from_elements(tables, 5)
+        assert builds == []
+        gens = [g.table for g in rebuilt.generators]
+        assert len(kernels.close_elements(5, gens, 120)) == 120
+
+    def test_rejects_tables_that_are_not_a_group(self):
+        ident = bytes(range(3))
+        cycle = parse_cycles("(1 2 3)", 3).table
+        with pytest.raises(ValueError, match="not form a group"):
+            group_from_elements([ident, cycle], 3)
 
 
 class TestRandomElement:
