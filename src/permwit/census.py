@@ -10,8 +10,10 @@ extensions (double-coset sweeps make each extension pass exact) and
 dedupes up to AGL(1,q)-conjugacy.  Two independent dedupe routes are run
 and must agree: a sweep over canonical class representatives, and a
 complete element-set enumeration partitioned into classes afterwards.
-Each route runs its own sweeps; they share no sweep or closure, so the
-cross-check compares two independent dedupes.
+Both routes run one breadth-first driver, `_overgroups`, over the sorted
+element list of S_q, each with its own start group, canonical form and
+sweeps; they share no sweep or closure, so the cross-check compares two
+independent dedupes.
 
 Each census fact is computed once: an entry keeps its lattice and, when
 simple, its normalizer in S_q; `census_report` runs the four checks, and
@@ -23,6 +25,9 @@ elements are known: <A, g> is A extended by whole left cosets
 cosets of A, AGL-conjugates are taken with one conjugator per left coset
 of A & AGL, and the normalizer in S_q is tested one left coset at a time.
 
+`in_affine` is a subset test: C is the only Sylow q-subgroup of AGL(1,q),
+so an entry with a conjugate inside AGL(1,q) lies inside it.
+
 Exact for q in {2, 3, 5, 7}; larger degrees are out of budget.
 """
 
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
@@ -46,7 +51,6 @@ from permwit.quotient import is_cyclic, quotient
 from permwit.witness import standard_cycle
 
 EXACT_LIMIT = 7
-NORMAL_BUDGET = 10000
 
 Fingerprint = Tuple[bytes, ...]
 
@@ -100,9 +104,7 @@ def _symmetric_elements(q: int) -> List[bytes]:
         swap = list(range(q))
         swap[0], swap[1] = 1, 0
         gens.append(bytes(swap))
-    elems = kernels.close_elements(q, gens, math.factorial(q))
-    assert elems is not None
-    return sorted(elems)
+    return sorted(kernels.close_elements(q, gens, math.factorial(q)))
 
 
 def _conjugate_set(tables: Sequence[bytes], u: bytes) -> Fingerprint:
@@ -120,11 +122,21 @@ class _ClassKeyCache:
         self.cache: Dict[Fingerprint, Fingerprint] = {}
 
     def key(self, exact: Fingerprint) -> Fingerprint:
-        got = self.cache.get(exact)
-        if got is None:
-            got = min(_agl_conjugates(exact, self.agl))
-            self.cache[exact] = got
-        return got
+        if exact not in self.cache:
+            self.cache[exact] = min(_agl_conjugates(exact, self.agl))
+        return self.cache[exact]
+
+
+def _coset_reps(xs: Iterable[bytes], h_elements: Sequence[bytes],
+                covered: Set[bytes]) -> List[bytes]:
+    """The x in `xs` outside `covered`, each of which then adds its whole
+    left coset x*H (H listed by `h_elements`) to `covered`."""
+    reps = []
+    for x in xs:
+        if x not in covered:
+            covered.update(kernels.left_coset(x, h_elements))
+            reps.append(x)
+    return reps
 
 
 def _agl_conjugates(exact: Fingerprint, agl_elements: Sequence[bytes]) -> Set[Fingerprint]:
@@ -134,88 +146,66 @@ def _agl_conjugates(exact: Fingerprint, agl_elements: Sequence[bytes]) -> Set[Fi
     H gives H itself."""
     members = set(exact)
     k_elements = [u for u in agl_elements if u in members]
-    covered: Set[bytes] = set()
-    out: Set[Fingerprint] = set()
-    for u in agl_elements:
-        if u in covered:
-            continue
-        covered.update(kernels.left_coset(u, k_elements))
-        out.add(exact if u in members else _conjugate_set(exact, u))
-    return out
+    return {exact if u in members else _conjugate_set(exact, u)
+            for u in _coset_reps(agl_elements, k_elements, set())}
 
 
 def _double_coset(a_elements: Sequence[bytes], g: bytes) -> Set[bytes]:
     """A g A for the group A listed by `a_elements`: the union of the left
-    cosets (a*g)*A for a in A, each added whole when a*g is not yet
-    covered."""
+    cosets (a*g)*A for a in A."""
     covered: Set[bytes] = set()
-    for a in a_elements:
-        y = kernels.compose(a, g)
-        if y not in covered:
-            covered.update(kernels.left_coset(y, a_elements))
+    _coset_reps((kernels.compose(a, g) for a in a_elements), a_elements, covered)
     return covered
 
 
-def _extension_sweep(q: int, start: Fingerprint, sq_elements: Sequence[bytes],
-                     register) -> None:
-    """For the subgroup A with element tuple `start`, close <A, g> for every
-    g in S_q; `register(new_exact_tuple)` is called for each closure.
-    Sweeps one double coset A g A per closure, which is exact because
-    <A, g> = <A, a g b> for a, b in A.  Each closure extends A by whole
-    cosets and stops once it passes |S_q|/2 elements: by Lagrange that
-    closure is S_q itself, registered as the S_q tuple with no sort."""
-    gens = [p.table for p in group_from_elements(start, q).generators]
+def _extensions(start: Fingerprint, ambient: Sequence[bytes]) -> Iterator[Fingerprint]:
+    """The sorted element tuple of <A, g>, for A the subgroup with element
+    tuple `start` and one g per double coset A g A of the ambient group,
+    whose element list `ambient` must be sorted; <A, g> = <A, a g b> for
+    a, b in A.  A closure that passes |ambient|/2 elements is the ambient
+    group by Lagrange, yielded as `tuple(ambient)` with no sort."""
+    gens = [p.table for p in group_from_elements(start, len(start[0])).generators]
     covered = set(start)
-    half = len(sq_elements) // 2
-    for g in sq_elements:
+    half = len(ambient) // 2
+    for g in ambient:
         if g in covered:
             continue
         closure = kernels.extend_elements(start, gens + [g], half)
-        if closure is None:
-            register(tuple(sq_elements))
-        else:
-            register(tuple(sorted(closure)))
+        yield tuple(ambient) if closure is None else tuple(sorted(closure))
         covered |= _double_coset(start, g)
 
 
-def _enumerate_class_reps(q: int, sq_elements: Sequence[bytes],
-                          keys: _ClassKeyCache) -> Dict[Fingerprint, Fingerprint]:
-    """Route A: sweep canonical class representatives only."""
-    cycle_tuple = tuple(sorted(
-        kernels.close_elements(q, [standard_cycle(q).table], q)))
-    start = keys.key(cycle_tuple)
-    found: Dict[Fingerprint, Fingerprint] = {start: start}
+def _overgroups(start: Fingerprint, ambient: Sequence[bytes],
+                canon: Callable[[Fingerprint], Fingerprint]) -> Set[Fingerprint]:
+    """`start` and every `canon(closure)` reached from it by breadth-first
+    one-element extensions inside the sorted `ambient`; `start` must be its
+    own canonical form."""
+    found = {start}
     work = [start]
-    while work:
-        rep = work.pop(0)
-
-        def register(exact: Fingerprint) -> None:
-            k = keys.key(exact)
-            if k not in found:
-                found[k] = k  # the canonical conjugate is itself the rep
-                work.append(k)
-
-        _extension_sweep(q, rep, sq_elements, register)
+    for sub in work:  # `work` grows while it is read
+        for closure in _extensions(sub, ambient):
+            key = canon(closure)
+            if key not in found:
+                found.add(key)
+                work.append(key)
     return found
+
+
+def _cycle_group(q: int) -> Fingerprint:
+    """The sorted element tuple of the standard cycle group C."""
+    return tuple(sorted(kernels.close_elements(q, [standard_cycle(q).table], q)))
+
+
+def _enumerate_class_reps(q: int, sq_elements: Sequence[bytes],
+                          keys: _ClassKeyCache) -> Set[Fingerprint]:
+    """Route A: sweep canonical class representatives only."""
+    return _overgroups(keys.key(_cycle_group(q)), sq_elements, keys.key)
 
 
 def _enumerate_all_overgroups(q: int, sq_elements: Sequence[bytes]) -> Set[Fingerprint]:
     """Route B: every overgroup of the standard cycle group, by exact
     element-set fingerprint."""
-    cycle_tuple = tuple(sorted(
-        kernels.close_elements(q, [standard_cycle(q).table], q)))
-    found: Set[Fingerprint] = {cycle_tuple}
-    work = [cycle_tuple]
-    while work:
-        sub = work.pop(0)
-
-        def register(exact: Fingerprint) -> None:
-            if exact not in found:
-                found.add(exact)
-                work.append(exact)
-
-        _extension_sweep(q, sub, sq_elements, register)
-    return found
+    return _overgroups(_cycle_group(q), sq_elements, lambda exact: exact)
 
 
 def _partition_into_classes(overgroups: Set[Fingerprint], agl_elements: Sequence[bytes]
@@ -238,42 +228,19 @@ def _partition_into_classes(overgroups: Set[Fingerprint], agl_elements: Sequence
     return sorted(canon)
 
 
-def _in_affine(group: PermGroup, agl: PermGroup, agl_elements: Sequence[bytes]) -> bool:
-    """True iff some AGL-conjugate of the group lies inside AGL(1,q).
-
-    Searching over AGL conjugators suffices: any conjugator into the
-    affine group can be corrected by a Sylow argument to normalize the
-    standard cycle group."""
-    if agl.order() % group.order() != 0:
-        return False
-    gen_tables = [g.table for g in group.generators]
-    chain = agl.chain
-    for u in agl_elements:
-        uinv = kernels.inverse(u)
-        if all(chain.contains(kernels.compose(u, kernels.compose(t, uinv)))
-               for t in gen_tables):
-            return True
-    return False
-
-
 def _normalizer_tables(group: PermGroup, sq_elements: Sequence[bytes]) -> List[bytes]:
     """The normalizer of the group in S_q, as sorted tables.  It is a union
     of left cosets x*G, so one x per coset is tested, by membership of its
     generator conjugates in G's element set."""
-    elements = group.element_tables(NORMAL_BUDGET)
+    elements = group.element_tables()
     members = set(elements)
     gen_tables = [g.table for g in group.generators]
-    covered: Set[bytes] = set()
     out: List[bytes] = []
-    for x in sq_elements:
-        if x in covered:
-            continue
-        coset = kernels.left_coset(x, elements)
-        covered.update(coset)
+    for x in _coset_reps(sq_elements, elements, set()):
         xinv = kernels.inverse(x)
         if all(kernels.compose(x, kernels.compose(t, xinv)) in members
                for t in gen_tables):
-            out.extend(coset)
+            out.extend(kernels.left_coset(x, elements))
     return sorted(out)
 
 
@@ -289,13 +256,12 @@ def census(q: int) -> List[CensusEntry]:
         raise BudgetExceeded(f"census is exact only for q <= {EXACT_LIMIT}")
 
     sq_elements = _symmetric_elements(q)
-    agl = affine_group(q)
-    agl_elements = [p.table for p in agl.elements(budget=max(NORMAL_BUDGET, q * q))]
+    agl_elements = affine_group(q).element_tables()
+    agl_set = set(agl_elements)
     keys = _ClassKeyCache(agl_elements)
 
     route_a = sorted(_enumerate_class_reps(q, sq_elements, keys))
-    route_b_all = _enumerate_all_overgroups(q, sq_elements)
-    route_b = _partition_into_classes(route_b_all, agl_elements)
+    route_b = _partition_into_classes(_enumerate_all_overgroups(q, sq_elements), agl_elements)
     if route_a != route_b:
         raise PermwitError(
             f"census cross-check failed for q={q}: AGL-dedupe found "
@@ -312,10 +278,12 @@ def census(q: int) -> List[CensusEntry]:
             raise PermwitError("census entry order is not divisible by q")
         if cycle_table not in set(exact):
             raise PermwitError("census entry lost the standard q-cycle")
-        normals = group.all_normal_subgroups(budget=NORMAL_BUDGET)
+        normals = group.all_normal_subgroups()
         simple = len(normals) == 2
         two_transitive = group.is_2_transitive()
-        in_aff = _in_affine(group, agl, agl_elements)
+        # C is the only Sylow q-subgroup of AGL(1,q), so if u H u^-1 <= AGL
+        # then u C u^-1 = C, u normalizes C and lies in AGL, and H <= AGL
+        in_aff = agl_set.issuperset(exact)
         if not (in_aff or two_transitive):
             raise PermwitError(
                 f"dichotomy violated at q={q}: order-{order} entry is neither "
@@ -365,7 +333,7 @@ def verify_wielandt(entry: CensusEntry) -> WielandtReport:
     normalizer = entry.normalizer
     n_order = normalizer.order()
     index = n_order // entry.order
-    table = quotient(normalizer, entry.group, budget=max(index + 1, 2))
+    table = quotient(normalizer, entry.group)
     return WielandtReport(
         order=entry.order,
         applicable=True,
@@ -402,7 +370,7 @@ def _simple_transitive_normals(entry: CensusEntry) -> List[NormalSubgroup]:
     """The entry's nontrivial normal subgroups that are transitive and simple."""
     return [sub for sub in entry.normal_subgroups
             if sub.order > 1 and sub.group.is_transitive()
-            and len(sub.group.all_normal_subgroups(NORMAL_BUDGET)) == 2]
+            and len(sub.group.all_normal_subgroups()) == 2]
 
 
 def verify_burnside(entry: CensusEntry) -> BurnsideReport:

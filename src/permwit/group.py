@@ -7,7 +7,7 @@ Each level stores its transversal representatives and their inverses, so
 sifting never inverts a permutation.
 
 Conjugacy classes and the normal-subgroup lattice are enumerated exactly
-for groups within a configurable element budget.  The lattice works on
+for groups of at most ENUMERATION_BUDGET elements.  The lattice works on
 the enumerated elements: a normal subgroup is a union of conjugacy
 classes, so it is keyed by the bitmask of its classes, closures run on
 element sets, and no stabilizer chain is built for any subgroup.
@@ -27,6 +27,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from permwit import kernels
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
 from permwit.perm import Permutation
+
+ENUMERATION_BUDGET = 10000
 
 
 class _OrderLimitHit(Exception):
@@ -304,25 +306,22 @@ class PermGroup:
                     stack.append(pair)
         return len(seen) == n * (n - 1)
 
-    def element_tables(self, budget: int = 10000) -> List[bytes]:
+    def element_tables(self) -> List[bytes]:
         if self._elements is None:
-            if self.order_exceeds(budget):
+            if self.order_exceeds(ENUMERATION_BUDGET):
                 raise BudgetExceeded(
-                    f"group order exceeds the enumeration budget of {budget}")
-            elems = kernels.close_elements(self._degree, self._gen_tables(), budget)
+                    f"group order exceeds the enumeration budget of {ENUMERATION_BUDGET}")
+            elems = kernels.close_elements(
+                self._degree, self._gen_tables(), ENUMERATION_BUDGET)
             assert elems is not None and len(elems) == self.order()
             self._elements = elems
-        if len(self._elements) > budget:
-            raise BudgetExceeded(
-                f"group order {len(self._elements)} exceeds the enumeration "
-                f"budget of {budget}")
         return self._elements
 
-    def elements(self, budget: int = 10000) -> List[Permutation]:
-        return [Permutation._from_table(t) for t in self.element_tables(budget)]
+    def elements(self) -> List[Permutation]:
+        return [Permutation._from_table(t) for t in self.element_tables()]
 
-    def element_set(self, budget: int = 10000) -> frozenset:
-        return frozenset(self.element_tables(budget))
+    def element_set(self) -> frozenset:
+        return frozenset(self.element_tables())
 
     def random_element(self, rng: Random) -> Permutation:
         return Permutation._from_table(self.chain.random_element(rng))
@@ -369,9 +368,9 @@ class PermGroup:
         return PermGroup([Permutation._from_table(t) for t in current],
                          degree=self._degree)
 
-    def conjugacy_classes(self, budget: int = 10000) -> List[Tuple[Permutation, int]]:
+    def conjugacy_classes(self) -> List[Tuple[Permutation, int]]:
         """(representative, class size) pairs; reps are the lex-least class members."""
-        tables = self.element_tables(budget)
+        tables = self.element_tables()
         if self._classes is None:
             gen_tables = self._gen_tables()
             inv_tables = [kernels.inverse(g) for g in gen_tables]
@@ -388,7 +387,7 @@ class PermGroup:
             self._class_of = class_of
         return [(Permutation._from_table(t), size) for t, size in self._classes]
 
-    def all_normal_subgroups(self, budget: int = 10000) -> "NormalSubgroupList":
+    def all_normal_subgroups(self) -> "NormalSubgroupList":
         """Every normal subgroup, as the join-closure of class-rep normal closures.
 
         A normal subgroup is a union of conjugacy classes, and it contains a
@@ -414,10 +413,10 @@ class PermGroup:
         one.  The entries are computed once per group, cached, and shared
         by every list returned.
         """
-        total = len(self.element_tables(budget))
         if self._normals is not None:
             return NormalSubgroupList(parent=self, entries=self._normals)
-        classes = self.conjugacy_classes(budget)
+        total = len(self.element_tables())
+        classes = self.conjugacy_classes()
         reps = [rep.table for rep, _ in classes]
         sizes = [size for _, size in classes]
         class_of = self._class_of

@@ -20,7 +20,7 @@ from typing import List, Tuple
 
 from permwit.errors import CycleParseError, GroupFileError
 from permwit.group import PermGroup
-from permwit.perm import Permutation, parse_cycles
+from permwit.perm import MAX_DEGREE, parse_cycles
 
 _DEGREE_RE = re.compile(r"^degree:\s*(\d+)$")
 
@@ -45,6 +45,9 @@ def _parse_section(lines: List[Tuple[int, str]]) -> PermGroup:
     degree = int(m.group(1))
     if degree < 1:
         raise GroupFileError(f"degree must be positive, got {degree}", lineno)
+    if degree > MAX_DEGREE:
+        raise GroupFileError(
+            f"degree must be at most {MAX_DEGREE}, got {degree}", lineno)
     gens = []
     for lineno, line in lines[1:]:
         try:

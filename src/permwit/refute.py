@@ -22,15 +22,13 @@ from random import Random
 from typing import Dict, List, Tuple
 
 from permwit.errors import BudgetExceeded, HypothesisError
-from permwit.group import PermGroup
+from permwit.group import ENUMERATION_BUDGET, PermGroup
 from permwit.numthy import is_prime
 from permwit.perm import Permutation, random_permutation
 from permwit.quotient import find_isomorphism, quotient
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.witness import verify_candidate
 from permwit.wreath import WreathElement
-
-ORDER_BUDGET = 10000
 
 METHOD = (
     "evidence: exact transitive census at degree q plus the zero-violation "
@@ -157,11 +155,11 @@ def _analyze_sample(gens: List[Permutation], degree: int) -> _SampleOutcome:
     if not group.is_transitive():
         return outcome
     outcome.transitive = True
-    if group.order_exceeds(ORDER_BUDGET):
+    if group.order_exceeds(ENUMERATION_BUDGET):
         outcome.large = True
         return outcome
     outcome.small = True
-    normals = group.all_normal_subgroups(ORDER_BUDGET)
+    normals = group.all_normal_subgroups()
     transitive_subs = [s for s in normals if s.group.is_transitive()]
     other_subs = [s for s in normals if not s.group.is_transitive()]
     for n1 in transitive_subs:

@@ -15,7 +15,7 @@ peeling order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Tuple
 
 from permwit.errors import (
     BlockStructureError,

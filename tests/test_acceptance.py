@@ -83,7 +83,7 @@ def test_criterion_2_census_exactness(census5, census7):
     )
     for q, expected in ((3, 2), (5, 5), (7, 7)):
         sq = _symmetric_elements(q)
-        agl = [p.table for p in affine_group(q).elements(budget=10000)]
+        agl = affine_group(q).element_tables()
         route_a = sorted(_enumerate_class_reps(q, sq, _ClassKeyCache(agl)))
         route_b = _partition_into_classes(_enumerate_all_overgroups(q, sq), agl)
         ok &= route_a == route_b and len(route_a) == expected

@@ -278,6 +278,19 @@ class TestCosetOracles:
                             in members for t in gens)]
             assert _normalizer_tables(entry.group, sq) == brute
 
+    @pytest.mark.parametrize("q, orders", [(5, [5, 10, 20]), (7, [7, 14, 21, 42])])
+    def test_route_b_inside_affine_ambient(self, q, orders):
+        # the overgroups of C_q in AGL(1,q) are C_q : H for the subgroups H
+        # of the cyclic multiplier group, one per divisor of q-1
+        ambient = sorted(_agl_tables(q))
+        found = _enumerate_all_overgroups(q, ambient)
+        assert sorted(len(exact) for exact in found) == orders
+        cycle = standard_cycle(q).table
+        for exact in found:
+            members = set(exact)
+            assert members <= set(ambient) and cycle in members
+            assert all(kernels.compose(a, b) in members for a in exact for b in exact)
+
     def test_partition_detects_a_missing_conjugate(self):
         agl = _agl_tables(7)
         overgroups = _enumerate_all_overgroups(7, _symmetric_elements(7))
@@ -286,3 +299,27 @@ class TestCosetOracles:
         assert len(orbit) > 1
         with pytest.raises(PermwitError, match="cross-check"):
             _partition_into_classes(overgroups - {max(orbit)}, agl)
+
+
+def _in_affine_by_conjugation(group, agl):
+    """Reference: some AGL(1,q)-conjugate of the group lies in AGL(1,q),
+    found by trying every conjugator."""
+    if agl.order() % group.order() != 0:
+        return False
+    gen_tables = [g.table for g in group.generators]
+    for u in agl.element_tables():
+        uinv = kernels.inverse(u)
+        if all(agl.chain.contains(kernels.compose(u, kernels.compose(t, uinv)))
+               for t in gen_tables):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_in_affine_matches_conjugator_search(q, census5, census7):
+    entries = {5: census5, 7: census7}.get(q) or census(q)
+    agl = affine_group(q)
+    flags = [e.in_affine for e in entries]
+    assert flags == [_in_affine_by_conjugation(e.group, agl) for e in entries]
+    # the affine entries are exactly the overgroups of C_q in AGL(1,q)
+    assert sum(flags) == sum(1 for d in range(1, q) if (q - 1) % d == 0)

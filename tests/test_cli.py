@@ -101,6 +101,16 @@ def test_non_utf8_file_is_input_error(capsys, tmp_path, command):
     assert captured.err.startswith("error:")
 
 
+@pytest.mark.parametrize("command", ["verify", "embed"])
+def test_degree_above_maximum_is_input_error(capsys, tmp_path, command):
+    path = tmp_path / "big.grp"
+    path.write_text("degree: 257\n---\ndegree: 257\n---\ndegree: 257\n")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:") and "257" in captured.err
+
+
 class TestCensusCommand:
     def test_degree_five(self, capsys):
         code, payload, err = run_cli(capsys, "census", "5")

@@ -198,7 +198,7 @@ class TestConjugacyClasses:
     def test_budget_error_names_bound(self):
         s8 = PermGroup.from_cycles(8, "(1 2)", "(1 2 3 4 5 6 7 8)")
         with pytest.raises(BudgetExceeded, match="10000"):
-            s8.conjugacy_classes(budget=10000)
+            s8.conjugacy_classes()
 
 
 class TestAllNormalSubgroups:
@@ -251,8 +251,6 @@ class TestAllNormalSubgroups:
         s5 = PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)")
         first = s5.all_normal_subgroups()
         assert s5.all_normal_subgroups().entries is first.entries
-        with pytest.raises(BudgetExceeded):
-            s5.all_normal_subgroups(budget=100)
 
     def test_entries_are_normal_with_consistent_index(self):
         for group in (PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)"),

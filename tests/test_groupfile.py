@@ -43,6 +43,13 @@ def test_missing_degree_line():
         parse_group_text("(1 2)\n")
 
 
+def test_degree_above_maximum_reports_line():
+    with pytest.raises(GroupFileError, match="at most 256") as info:
+        parse_group_text("# big\ndegree: 257\n")
+    assert info.value.line == 2
+    assert parse_group_text("degree: 256\n").degree == 256
+
+
 def test_bad_generator_reports_line():
     with pytest.raises(GroupFileError, match="line 3"):
         parse_group_text("degree: 4\n(1 2)\n(3 9)\n")
