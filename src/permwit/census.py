@@ -46,7 +46,7 @@ from permwit.group import (
     group_from_elements,
 )
 from permwit.numthy import is_prime, primitive_root
-from permwit.perm import Permutation
+from permwit.perm import MAX_DEGREE, Permutation
 from permwit.quotient import is_cyclic, quotient
 from permwit.witness import standard_cycle
 
@@ -250,6 +250,8 @@ def census(q: int) -> List[CensusEntry]:
     Exact, with the two dedupe routes cross-checked, for q <= 7; larger
     q raises BudgetExceeded.
     """
+    if q > MAX_DEGREE:  # before is_prime's trial division
+        raise HypothesisError(f"degree must be at most {MAX_DEGREE}, got {q}")
     if not is_prime(q):
         raise HypothesisError(f"{q} is not prime")
     if q > EXACT_LIMIT:

@@ -151,9 +151,6 @@ class Permutation:
     def fixed_points(self) -> Tuple[int, ...]:
         return tuple(k + 1 for k, v in enumerate(self._table) if v == k)
 
-    def moved_points(self) -> Tuple[int, ...]:
-        return tuple(k + 1 for k, v in enumerate(self._table) if v != k)
-
     def extended_to(self, degree: int) -> "Permutation":
         """Pad with fixed points up to a larger degree."""
         if degree < self.degree:

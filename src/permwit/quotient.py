@@ -4,6 +4,10 @@ Quotients are materialized as multiplication tables on coset indices (the
 orders here are tiny), which keeps isomorphism testing exact: a greedy
 generating set, order-profile pruning, and a backtracking search that
 self-checks any mapping it returns.
+
+A quotient is built in one breadth-first pass over the cosets once its
+index |G|/|N| is known to be at most QUOTIENT_BUDGET; the isomorphism
+search gives up after ISO_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
@@ -17,7 +21,8 @@ from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal, Perm
 from permwit.group import PermGroup, is_normal
 from permwit.perm import Permutation
 
-ISO_NODE_BUDGET = 10_000_000
+QUOTIENT_BUDGET = 1000  # largest index quotient() will tabulate
+ISO_NODE_BUDGET = 10_000_000  # search nodes before find_isomorphism gives up
 
 
 @dataclass(frozen=True)
@@ -70,67 +75,55 @@ class CayleyTable:
         }
 
 
-def quotient(g_group: PermGroup, n_group: PermGroup, budget: int = 1000) -> CayleyTable:
+def quotient(g_group: PermGroup, n_group: PermGroup) -> CayleyTable:
     """The factor group G/N as a Cayley table on coset representatives.
 
-    Representatives are found by a breadth-first sweep over the coset
-    graph, identifying cosets by sifting against N-membership.  Requires
-    N normal in G and index at most `budget`.
+    Requires N normal in G and [G:N] = |G|/|N| at most QUOTIENT_BUDGET,
+    checked before any coset is sought.  One breadth-first pass over the
+    cosets finds the representatives and how each generator permutes the
+    cosets; row a of the table is the row of a's parent coset followed
+    by the generator that found a.
     """
     if not is_normal(n_group, g_group):
         raise NotNormal("the subgroup is not normal, so the quotient is undefined")
-    degree = g_group.degree
-    ident = bytes(range(degree))
+    index = g_group.order() // n_group.order()
+    if index > QUOTIENT_BUDGET:
+        raise BudgetExceeded(
+            f"quotient index {index} exceeds the budget of {QUOTIENT_BUDGET}")
     gen_tables = [g.table for g in g_group.generators]
     n_chain = n_group.chain
 
-    reps: List[bytes] = [ident]
-    rep_invs: List[bytes] = [ident]
+    reps = [bytes(range(g_group.degree))]
+    rep_invs = list(reps)
+    parents: List[Tuple[int, int]] = []  # (generator, source) of cosets 1, 2, ...
+    gen_action: List[List[int]] = [[] for _ in gen_tables]
 
-    def coset_of(x: bytes) -> Optional[int]:
+    def coset_of(x: bytes) -> int:  # len(reps) for a coset not found yet
         for j, rinv in enumerate(rep_invs):
             if n_chain.contains(kernels.compose(rinv, x)):
                 return j
-        return None
+        return len(rep_invs)
 
-    # discover coset representatives breadth-first
-    parent: List[Optional[Tuple[int, int]]] = [None]  # rep index -> (gen, source)
-    head = 0
-    while head < len(reps):
-        b = head
-        head += 1
+    # reps grows while it is walked, so the walk reaches every coset
+    for b, rep in enumerate(reps):
         for gi, g in enumerate(gen_tables):
-            x = kernels.compose(g, reps[b])
-            if coset_of(x) is None:
-                if len(reps) >= budget:
-                    raise BudgetExceeded(
-                        f"quotient index exceeds the budget of {budget}")
+            x = kernels.compose(g, rep)
+            j = coset_of(x)
+            if j == len(reps):
                 reps.append(x)
                 rep_invs.append(kernels.inverse(x))
-                parent.append((gi, b))
+                parents.append((gi, b))
+            gen_action[gi].append(j)
+    if len(reps) != index:
+        raise PermwitError(f"found {len(reps)} cosets, but |G|/|N| = {index}")
 
-    m = len(reps)
-    # how left-multiplication by each generator permutes coset indices
-    gen_action = [
-        tuple(coset_of(kernels.compose(g, reps[b])) for b in range(m))
-        for g in gen_tables
-    ]
-
-    # left-multiplication action of each rep, composed along its BFS word;
-    # row a of the table is then exactly the coset of reps[a]*reps[b]
-    left_action: List[Optional[Tuple[int, ...]]] = [tuple(range(m))] + [None] * (m - 1)
-
-    def build_action(a: int) -> Tuple[int, ...]:
-        if left_action[a] is None:
-            gi, src = parent[a]  # type: ignore[misc]
-            src_act = build_action(src)
-            g_act = gen_action[gi]
-            left_action[a] = tuple(g_act[src_act[x]] for x in range(m))
-        return left_action[a]  # type: ignore[return-value]
-
-    table = tuple(build_action(a) for a in range(m))
+    # row a lists the cosets of reps[a]*reps[b]; parents come before children
+    table = [tuple(range(index))]
+    for gi, src in parents:
+        act = gen_action[gi]
+        table.append(tuple(act[x] for x in table[src]))
     result = CayleyTable(reps=tuple(Permutation._from_table(t) for t in reps),
-                         table=table)
+                         table=tuple(table))
     result.validate()
     return result
 
@@ -154,11 +147,8 @@ def _greedy_generators(t: CayleyTable) -> List[int]:
         gens.append(best)
         # closure under right multiplication by chosen generators
         work = sorted(closure)
-        head = 0
         seen = set(closure)
-        while head < len(work):
-            x = work[head]
-            head += 1
+        for x in work:  # work grows while it is walked
             for g in gens:
                 y = t.table[x][g]
                 if y not in seen:
@@ -175,7 +165,6 @@ def _extend_map(t1: CayleyTable, t2: CayleyTable, gens: List[int],
     phi: Dict[int, int] = {0: 0}
     used = {0}
     work = [0]
-    head = 0
     for g, img in zip(gens, images):
         if g in phi:
             if phi[g] != img:
@@ -186,9 +175,7 @@ def _extend_map(t1: CayleyTable, t2: CayleyTable, gens: List[int],
             phi[g] = img
             used.add(img)
             work.append(g)
-    while head < len(work):
-        x = work[head]
-        head += 1
+    for x in work:  # work grows while it is walked
         fx = phi[x]
         for g, img in zip(gens, images):
             y = t1.table[x][g]
@@ -205,8 +192,7 @@ def _extend_map(t1: CayleyTable, t2: CayleyTable, gens: List[int],
     return phi
 
 
-def find_isomorphism(t1: CayleyTable, t2: CayleyTable,
-                     node_budget: int = ISO_NODE_BUDGET) -> Optional[Tuple[int, ...]]:
+def find_isomorphism(t1: CayleyTable, t2: CayleyTable) -> Optional[Tuple[int, ...]]:
     """An explicit isomorphism t1 -> t2 as an index mapping, or None.
 
     Fast-rejects on order and order histogram, then backtracks over
@@ -223,53 +209,43 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable,
         return (0,)
     gens = _greedy_generators(t1)
     orders1 = [t1.element_order(i) for i in range(m)]
-    orders2 = [t2.element_order(i) for i in range(m)]
     by_order: Dict[int, List[int]] = {}
     for i in range(m):
-        by_order.setdefault(orders2[i], []).append(i)
+        by_order.setdefault(t2.element_order(i), []).append(i)
 
     nodes = 0
     images: List[int] = []
 
-    def backtrack() -> Optional[Dict[int, int]]:
+    def backtrack(phi: Dict[int, int]) -> Optional[Dict[int, int]]:
+        # phi is the map that the generator images chosen so far determine
         nonlocal nodes
         k = len(images)
         if k == len(gens):
-            phi = _extend_map(t1, t2, gens, images)
-            if phi is None or len(phi) != m:
+            if len(phi) != m:
                 return None
             for a in range(m):
-                fa = phi[a]
-                row_a = t1.table[a]
-                row_fa = t2.table[fa]
-                for b in range(m):
-                    if phi[row_a[b]] != row_fa[phi[b]]:
-                        return None
+                row_a, row_fa = t1.table[a], t2.table[phi[a]]
+                if any(phi[row_a[b]] != row_fa[phi[b]] for b in range(m)):
+                    return None
             if len(set(phi.values())) != m:
                 return None
             return phi
         for cand in by_order.get(orders1[gens[k]], ()):
             nodes += 1
-            if nodes > node_budget:
+            if nodes > ISO_NODE_BUDGET:
                 raise IsomorphismUndecided(
-                    f"isomorphism search exceeded {node_budget} nodes")
+                    f"isomorphism search exceeded {ISO_NODE_BUDGET} nodes")
             images.append(cand)
-            if _extend_map(t1, t2, gens, images) is not None:
-                result = backtrack()
+            extended = _extend_map(t1, t2, gens, images)
+            if extended is not None:
+                result = backtrack(extended)
                 if result is not None:
                     return result
             images.pop()
         return None
 
-    phi = backtrack()
-    if phi is None:
-        return None
-    return tuple(phi[i] for i in range(m))
-
-
-def isomorphic(t1: CayleyTable, t2: CayleyTable,
-               node_budget: int = ISO_NODE_BUDGET) -> bool:
-    return find_isomorphism(t1, t2, node_budget=node_budget) is not None
+    phi = backtrack({0: 0})
+    return None if phi is None else tuple(phi[i] for i in range(m))
 
 
 def is_cyclic(t: CayleyTable) -> bool:

@@ -99,6 +99,8 @@ def valid_primes(n: int) -> List[int]:
     """Primes p with p | n and p | phi(n), ascending."""
     if n < 1:
         raise HypothesisError(f"degree must be positive, got {n}")
+    if n > MAX_DEGREE:  # before factorize's trial division
+        raise HypothesisError(f"degree must be in 2..{MAX_DEGREE}, got {n}")
     phi = euler_phi(n)
     return [p for p, _ in factorize(n).factors if phi % p == 0]
 
@@ -114,9 +116,12 @@ def construct_witness(n: int, p: int) -> Witness:
     Requires p | n and p | phi(n); the error message names whichever
     hypothesis fails.
     """
+    if max(n, p) > MAX_DEGREE:  # before is_prime's trial division
+        raise HypothesisError(
+            f"degree and prime must be at most {MAX_DEGREE}, got n={n}, p={p}")
     if not is_prime(p):
         raise HypothesisError(f"{p} is not prime")
-    if not 2 <= n <= MAX_DEGREE:
+    if n < 2:
         raise HypothesisError(f"degree must be in 2..{MAX_DEGREE}, got {n}")
     failures = []
     if n % p != 0:

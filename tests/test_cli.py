@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -109,6 +110,25 @@ def test_degree_above_maximum_is_input_error(capsys, tmp_path, command):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error:") and "257" in captured.err
+
+
+HUGE = "1000000000000000003"  # a prime, so trial division runs to its square root
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", HUGE],
+    ["witness", "6", "--prime", HUGE],
+    ["census", HUGE],
+    ["refute", HUGE, "1000000000000000009"],
+], ids=" ".join)
+def test_huge_argument_is_prompt_input_error(capsys, argv):
+    start = time.monotonic()
+    code = main(argv)
+    elapsed = time.monotonic() - start
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error:")
+    assert elapsed < 2
 
 
 class TestCensusCommand:

@@ -1,12 +1,19 @@
-"""Source hygiene: every name a module imports is used in that module."""
+"""Source hygiene: every name a module imports is used in that module, and
+every function, method and class the package defines is referenced
+somewhere in the package, its tests or its benchmark."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "permwit"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "permwit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _imported_names(tree: ast.Module):
@@ -31,6 +38,37 @@ def test_modules_found():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+    tree = _parse(path)
     unused = sorted(set(_imported_names(tree)) - _referenced_names(tree))
     assert unused == [], f"{path.name} imports names it never uses: {unused}"
+
+
+def _defined_names(tree: ast.Module):
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                yield node.name
+
+
+def _mentioned_names(tree: ast.Module):
+    # string constants count: perfbench's tracer looks names up by string
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value
+
+
+def test_no_dead_definitions():
+    sources = [p for d in ("src/permwit", "tests", "perfbench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    mentioned = set()
+    for path in sources:
+        mentioned.update(_mentioned_names(_parse(path)))
+    dead = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
+                  for name in set(_defined_names(_parse(path))) - mentioned)
+    assert dead == [], f"definitions nothing references: {dead}"

@@ -2,6 +2,8 @@ from random import Random
 
 import pytest
 
+from permwit import kernels
+from permwit import quotient as quotient_module
 from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal, PermwitError
 from permwit.group import PermGroup
 from permwit.perm import random_permutation
@@ -10,7 +12,6 @@ from permwit.quotient import (
     cyclic_table,
     find_isomorphism,
     is_cyclic,
-    isomorphic,
     order_histogram,
     quotient,
 )
@@ -58,8 +59,11 @@ class TestQuotient:
             quotient(s3, PermGroup.from_cycles(3, "(1 2)"))
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded, match="10"):
-            quotient(s5(), PermGroup.trivial(5), budget=10)
+        # the index is read from the orders, so this fails before any of
+        # the 5040 cosets is sought
+        s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
+        with pytest.raises(BudgetExceeded, match=r"5040.*1000"):
+            quotient(s7, PermGroup.trivial(7))
 
     def test_table_invariants_validated(self):
         t = quotient(s5(), PermGroup.trivial(5))
@@ -78,6 +82,31 @@ class TestQuotient:
         loop = CayleyTable(reps=z70.reps, table=tuple(map(tuple, rows)))
         with pytest.raises(PermwitError, match="not associative"):
             loop.validate()
+
+    def test_table_matches_coset_oracle_on_random_corpus(self):
+        # table[a][b] must be the one c with reps[c]^-1 * reps[a] * reps[b]
+        # in N, that is with reps[a] * reps[b] in the coset reps[c] * N,
+        # which is built here from N's element set
+        rng = Random(37)
+        for _ in range(60):
+            n = rng.randint(3, 6)
+            group = PermGroup(
+                [random_permutation(n, rng) for _ in range(2)], degree=n)
+            if group.order() > 120:
+                continue
+            sub = rng.choice(list(group.all_normal_subgroups())).group
+            t = quotient(group, sub)
+            assert len(t.reps) == group.order() // sub.order()
+            reps = [r.table for r in t.reps]
+            owners = {}
+            for c, rep in enumerate(reps):
+                for x in sub.element_tables():
+                    owners.setdefault(kernels.compose(rep, x), []).append(c)
+            assert len(owners) == group.order()
+            for a in range(t.order):
+                for b in range(t.order):
+                    ab = kernels.compose(reps[a], reps[b])
+                    assert owners[ab] == [t.table[a][b]]
 
     def test_json_dump_shape(self):
         d = quotient(s5(), a5()).to_json_dict()
@@ -107,11 +136,11 @@ class TestIsomorphism:
         verify_mapping(t, t, mapping)
 
     def test_cyclic_vs_klein(self):
-        assert not isomorphic(cyclic_table(4), klein_table())
+        assert find_isomorphism(cyclic_table(4), klein_table()) is None
 
     def test_cyclic_groups_of_equal_prime_order(self):
         for p in (2, 3, 5, 7):
-            assert isomorphic(cyclic_table(p), cyclic_table(p))
+            assert find_isomorphism(cyclic_table(p), cyclic_table(p)) is not None
 
     def test_s3_quotient_vs_s3(self):
         s4 = PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)")
@@ -126,7 +155,7 @@ class TestIsomorphism:
     def test_nonabelian_vs_abelian_same_order(self):
         s3 = PermGroup.from_cycles(3, "(1 2)", "(1 2 3)")
         t1 = quotient(s3, PermGroup.trivial(3))
-        assert not isomorphic(t1, cyclic_table(6))
+        assert find_isomorphism(t1, cyclic_table(6)) is None
 
     def test_reflexive_and_symmetric_on_random_corpus(self):
         rng = Random(31)
@@ -138,12 +167,13 @@ class TestIsomorphism:
             if group.order() > 48:
                 continue
             sub = group.normal_closure([group.random_element(rng)])
-            tables.append(quotient(group, sub, budget=100))
+            tables.append(quotient(group, sub))
         for t in tables:
-            assert isomorphic(t, t)
+            assert find_isomorphism(t, t) is not None
         for _ in range(60):
             t1, t2 = rng.choice(tables), rng.choice(tables)
-            assert isomorphic(t1, t2) == isomorphic(t2, t1)
+            assert ((find_isomorphism(t1, t2) is None)
+                    == (find_isomorphism(t2, t1) is None))
 
     def test_every_returned_mapping_is_checked(self):
         rng = Random(33)
@@ -154,13 +184,14 @@ class TestIsomorphism:
                 [random_permutation(n, rng) for _ in range(2)], degree=n)
             if group.order() > 24:
                 continue
-            t = quotient(group, PermGroup.trivial(n), budget=100)
+            t = quotient(group, PermGroup.trivial(n))
             mapping = find_isomorphism(t, t)
             assert mapping is not None
             verify_mapping(t, t, mapping)
             pairs += 1
 
-    def test_node_budget_raises_undecided(self):
+    def test_node_budget_raises_undecided(self, monkeypatch):
+        monkeypatch.setattr(quotient_module, "ISO_NODE_BUDGET", 0)
         t = cyclic_table(12)
         with pytest.raises(IsomorphismUndecided):
-            find_isomorphism(t, t, node_budget=0)
+            find_isomorphism(t, t)
