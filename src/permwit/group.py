@@ -3,8 +3,11 @@
 Order and membership go through a deterministic Schreier-Sims stabilizer
 chain (base points picked as the smallest moved point at each level, so
 chains and everything derived from them are reproducible across runs).
-Each level stores its transversal representatives and their inverses, so
-sifting never inverts a permutation.
+Each level stores its transversal representatives and their inverses; the
+inverses, like the strong generators' working copies, are kept as 256-byte
+translation tables, so a sift step or a Schreier generator is one
+`bytes.translate` per product and building or sifting the chain calls no
+Python-level kernel.
 
 Conjugacy classes and the normal-subgroup lattice are enumerated exactly
 for groups of at most ENUMERATION_BUDGET elements.  The lattice works on
@@ -39,7 +42,10 @@ class StabilizerChain:
     """Base, strong generators and per-level transversals for one group.
 
     `inv_transversals[i]` has the keys of `transversals[i]`, mapped to the
-    inverses of their representatives.
+    inverses of their representatives as 256-byte translation tables:
+    `bytes.maketrans(rep, ident)`, whose first `degree` bytes are rep^-1.
+    A sift step is then `table.translate(inv_rep)`, the product
+    rep^-1 * table.
 
     `base_prefix` forces the given 0-based points to head the base (used
     for pointwise stabilizers).  `order_limit` aborts construction with
@@ -54,6 +60,8 @@ class StabilizerChain:
         self._limit = order_limit
         self.base: List[int] = []
         self.sgens: List[bytes] = []
+        # sgens[k] padded to 256 bytes, the form `bytes.translate` consumes
+        self._padded_sgens: List[bytes] = []
         # depths[k] is the index of the first base point sgens[k] moves; the
         # base only grows at its end, so a depth never changes
         self.depths: List[int] = []
@@ -73,7 +81,7 @@ class StabilizerChain:
     def _append_level(self, point: int) -> None:
         self.base.append(point)
         self.transversals.append({point: self._ident})
-        self.inv_transversals.append({point: self._ident})
+        self.inv_transversals.append({point: kernels.PADDED_IDENTITY})
 
     def _cover(self, g: bytes) -> int:
         # the depth of g, appending a new level first if g fixes the whole base
@@ -85,11 +93,16 @@ class StabilizerChain:
 
     def _add_gen(self, g: bytes, depth: int) -> None:
         self.sgens.append(g)
+        self._padded_sgens.append(g + kernels.PADDED_IDENTITY[len(g):])
         self.depths.append(depth)
 
     def _gens_at(self, i: int) -> List[bytes]:
         # the strong generators fixing base[:i] pointwise, in sgens order
         return [g for g, d in zip(self.sgens, self.depths) if d >= i]
+
+    def _padded_gens_at(self, i: int) -> List[bytes]:
+        # _gens_at(i), padded; s[x] is unchanged for every point x
+        return [g for g, d in zip(self._padded_sgens, self.depths) if d >= i]
 
     def _recompute(self, lo: int, hi: int) -> None:
         for i in range(lo, hi):
@@ -98,25 +111,24 @@ class StabilizerChain:
             raise _OrderLimitHit
 
     def _rebuild_transversal(self, i: int) -> None:
-        # the inverse of s*u_x is u_x^-1 * s^-1, so each level inverts only
-        # its generators, and sifts never invert a representative
-        gens = self._gens_at(i)
-        inv_gens = [kernels.inverse(s) for s in gens]
+        # u_y = s * u_x is u_x translated by s; its inverse is one maketrans
+        gens = self._padded_gens_at(i)
         b = self.base[i]
-        trans = {b: self._ident}
-        inv_trans = {b: self._ident}
+        ident = self._ident
+        trans = {b: ident}
+        inv_trans = {b: kernels.PADDED_IDENTITY}
         queue = [b]
         head = 0
         while head < len(queue):
             x = queue[head]
             head += 1
             ux = trans[x]
-            inv_ux = inv_trans[x]
-            for s, inv_s in zip(gens, inv_gens):
+            for s in gens:
                 y = s[x]
                 if y not in trans:
-                    trans[y] = kernels.compose(s, ux)
-                    inv_trans[y] = kernels.compose(inv_ux, inv_s)
+                    uy = ux.translate(s)
+                    trans[y] = uy
+                    inv_trans[y] = bytes.maketrans(uy, ident)
                     queue.append(y)
         self.transversals[i] = trans
         self.inv_transversals[i] = inv_trans
@@ -126,7 +138,7 @@ class StabilizerChain:
             inv_rep = self.inv_transversals[i].get(table[self.base[i]])
             if inv_rep is None:
                 return table, i
-            table = kernels.compose(inv_rep, table)
+            table = table.translate(inv_rep)
         return table, len(self.base)
 
     def sift(self, table: bytes) -> Tuple[bytes, int]:
@@ -146,11 +158,12 @@ class StabilizerChain:
     def _check_level(self, i: int) -> Optional[int]:
         trans = self.transversals[i]
         inv_trans = self.inv_transversals[i]
-        gens = self._gens_at(i)
+        gens = self._padded_gens_at(i)
         for x in sorted(trans):
             ux = trans[x]
             for s in gens:
-                sg = kernels.compose(inv_trans[s[x]], kernels.compose(s, ux))
+                # the Schreier generator u_{s[x]}^-1 * s * u_x
+                sg = ux.translate(s).translate(inv_trans[s[x]])
                 if sg == self._ident:
                     continue
                 residue, j = self._sift_from(i + 1, sg)

@@ -3,7 +3,12 @@
 Permutations are raw image tables: `bytes` of length `degree`, where
 table[x] is the 0-based image of 0-based point x.  Composition uses
 `bytes.translate`, which runs at C speed; the translation table must be
-256 bytes long, so generator tables are padded once per closure loop.
+256 bytes long.  A table is padded by fixing every point from its degree
+up to 255 (`table + PADDED_IDENTITY[len(table):]`); the padding is never
+read, because every byte translated is a point below the degree.
+Generator tables are padded once per closure loop.  The inverse of a
+table a is `bytes.maketrans(a, ident)`, which is already padded this way,
+so it is one C call.
 
 `close_elements` closes a generating set from the identity by breadth-first
 search.  `extend_elements` grows a group from a subgroup H whose elements
@@ -18,25 +23,23 @@ from typing import Iterable, List, Optional, Sequence, Set
 
 BACKEND = "py"  # the kernel lane; the benchmark records it with every pass
 
-_PAD = bytes(256)
+PADDED_IDENTITY = bytes(range(256))  # the identity as a translation table
 
 
 def _padded(table: bytes) -> bytes:
-    return table + _PAD[len(table):]
+    return table + PADDED_IDENTITY[len(table):]
 
 
 def compose(a: bytes, b: bytes) -> bytes:
     """Table of the left-action product: result[x] = a[b[x]]."""
     if len(a) != len(b):
         raise ValueError("degree mismatch")
-    return b.translate(_padded(a))
+    return b.translate(a + PADDED_IDENTITY[len(a):])
 
 
 def inverse(a: bytes) -> bytes:
-    out = bytearray(len(a))
-    for x, y in enumerate(a):
-        out[y] = x
-    return bytes(out)
+    """Table of a^-1: maketrans maps a[x] to x, then the padding is cut."""
+    return bytes.maketrans(a, PADDED_IDENTITY[:len(a)])[:len(a)]
 
 
 def orbit(start: int, gens: Sequence[bytes]) -> Set[int]:
@@ -118,12 +121,13 @@ def extend_elements(subgroup: Sequence[bytes], gens: Iterable[bytes],
 def conjugacy_orbit(x: bytes, gens: Sequence[bytes], invs: Sequence[bytes]) -> Set[bytes]:
     """Closure of x under conjugation by the given generator/inverse pairs."""
     padded = [(_padded(g), inv) for g, inv in zip(gens, invs)]
+    tail = PADDED_IDENTITY[len(x):]
     seen = {x}
     stack = [x]
     while stack:
         e = stack.pop()
         for g, inv in padded:
-            y = inv.translate(_padded(e.translate(g)))
+            y = inv.translate(e.translate(g) + tail)
             if y not in seen:
                 seen.add(y)
                 stack.append(y)

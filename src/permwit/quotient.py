@@ -86,6 +86,12 @@ def quotient(g_group: PermGroup, n_group: PermGroup) -> CayleyTable:
     """
     if not is_normal(n_group, g_group):
         raise NotNormal("the subgroup is not normal, so the quotient is undefined")
+    return _coset_table(g_group, n_group)
+
+
+def _coset_table(g_group: PermGroup, n_group: PermGroup) -> CayleyTable:
+    """`quotient` for an N already known to be normal in G: the budget
+    check and the coset pass, without testing normality again."""
     index = g_group.order() // n_group.order()
     if index > QUOTIENT_BUDGET:
         raise BudgetExceeded(

@@ -52,7 +52,7 @@ class TestWitnessCommand:
         code, _, err = run_cli(capsys, "witness", "9", "--prime", "5")
         assert code == 2 and "hypothesis fails" in err
 
-    @pytest.mark.parametrize("n", ["0", "-3", "300"])
+    @pytest.mark.parametrize("n", ["0", "-3", "1", "300"])
     def test_degree_out_of_range_is_input_error(self, capsys, n):
         code, payload, err = run_cli(capsys, "witness", n)
         assert code == 2 and payload is None

@@ -299,7 +299,9 @@ def assert_inverse_transversals(chain):
     for trans, inv_trans in zip(chain.transversals, chain.inv_transversals):
         assert inv_trans.keys() == trans.keys()
         for x, rep in trans.items():
-            assert kernels.compose(inv_trans[x], rep) == ident
+            inv = inv_trans[x]  # rep^-1 as a padded translation table
+            assert len(inv) == 256
+            assert rep.translate(inv) == ident
 
 
 def s7_chain():
@@ -336,6 +338,57 @@ class TestInverseTransversals:
         assert chain.base[:2] == [3, 5]
         assert chain.order() == 5040
         assert_inverse_transversals(chain)
+
+
+def test_chain_build_and_sift_call_no_kernel(monkeypatch):
+    s7 = [g.table for g in PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)").generators]
+    wreath = wreath_15_chain().sgens
+    calls = []
+
+    def counting(name):
+        real = getattr(kernels, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "compose", counting("compose"))
+    monkeypatch.setattr(kernels, "inverse", counting("inverse"))
+    for degree, gens in ((7, s7), (15, wreath)):
+        chain = StabilizerChain(degree, gens)
+        assert chain.order() > 1
+        assert all(chain.contains(g) for g in gens)
+    assert calls == []
+
+
+def random_cycle(degree, rng):
+    """A cycle through 2..degree random points, in random order."""
+    table = bytearray(range(degree))
+    points = rng.sample(range(degree), rng.randint(2, degree))
+    for a, b in zip(points, points[1:] + points[:1]):
+        table[a] = b
+    return Permutation._from_table(bytes(table))
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_chain_matches_element_closure(seed):
+    # random cycles give a mix of orders, from 2 up to |S_8| = 40320
+    rng = Random(seed)
+    degree = rng.randint(2, 8)
+    group = PermGroup([random_cycle(degree, rng) for _ in range(rng.randint(1, 3))],
+                      degree=degree)
+    tables = [g.table for g in group.generators]
+    members = kernels.close_elements(group.degree, tables, 10**5)
+    member_set = set(members)
+    chain = group.chain
+    assert chain.order() == len(members)
+    for t in rng.sample(members, min(len(members), 100)):
+        assert chain.contains(t)
+    for _ in range(100):
+        t = random_permutation(group.degree, rng).table
+        assert chain.contains(t) == (t in member_set)
+    assert_inverse_transversals(chain)
 
 
 @pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],

@@ -1,5 +1,7 @@
 """Contract of the kernel module."""
 
+from random import Random
+
 import pytest
 
 from permwit import kernels
@@ -25,6 +27,28 @@ def test_pure_compose_is_left_action():
 def test_pure_compose_degree_mismatch():
     with pytest.raises(ValueError):
         kernels.compose(bytes([0, 1]), bytes([0, 1, 2]))
+
+
+def _loop_inverse(a):
+    # the definition by a Python loop: out[a[x]] = x
+    out = bytearray(len(a))
+    for x, y in enumerate(a):
+        out[y] = x
+    return bytes(out)
+
+
+@pytest.mark.parametrize("degree", range(1, 256))
+def test_inverse_matches_loop_definition(degree):
+    rng = Random(degree)
+    tables = [bytes(range(degree))]
+    for _ in range(3):
+        points = list(range(degree))
+        rng.shuffle(points)
+        tables.append(bytes(points))
+    for a in tables:
+        inv = kernels.inverse(a)
+        assert inv == _loop_inverse(a)
+        assert kernels.compose(a, inv) == kernels.compose(inv, a) == bytes(range(degree))
 
 
 def test_close_elements_trivial_group():

@@ -1,5 +1,8 @@
 import pytest
 
+from permwit import group as group_module
+from permwit import quotient as quotient_module
+from permwit import witness as witness_module
 from permwit.errors import DegreeMismatch, HypothesisError
 from permwit.group import PermGroup
 from permwit.numthy import euler_phi, is_prime
@@ -98,6 +101,20 @@ class TestVerifyWitness:
         assert w.N2.order() == 21
         assert not w.sigma.is_identity()
         assert w.sigma.fixed_points()[0] == 1
+
+    def test_normality_tested_once_per_subgroup(self, monkeypatch):
+        w = construct_witness(21, 3)
+        calls = []
+
+        def counting_is_normal(n_group, g_group):
+            calls.append(n_group)
+            return group_module.is_normal(n_group, g_group)
+
+        for module in (witness_module, quotient_module):
+            monkeypatch.setattr(module, "is_normal", counting_is_normal)
+        report = verify_witness(w)
+        assert report.passed
+        assert calls == [w.N1, w.N2]
 
     def test_inconsistent_degrees_error(self):
         w = construct_witness(6, 2)
