@@ -19,7 +19,7 @@ from permwit.errors import (
     NotNormal,
     PermwitError,
 )
-from permwit.group import NormalSubgroup, NormalSubgroupList, PermGroup, is_normal
+from permwit.group import NormalSubgroup, PermGroup, is_normal
 from permwit.perm import (
     Permutation,
     compose,
@@ -36,7 +36,6 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "NormalSubgroup",
-    "NormalSubgroupList",
     "compose",
     "conjugate",
     "power",

@@ -41,7 +41,6 @@ from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
 from permwit.group import (
     NormalSubgroup,
-    NormalSubgroupList,
     PermGroup,
     group_from_elements,
 )
@@ -76,7 +75,7 @@ class CensusEntry:
     q: int
     group: PermGroup
     order: int
-    normal_subgroups: NormalSubgroupList
+    normal_subgroups: Tuple[NormalSubgroup, ...]
     is_simple: bool
     is_2transitive: bool
     in_affine: bool
@@ -90,7 +89,7 @@ class CensusEntry:
         return {
             "order": self.order,
             "generators": [g.cycle_string() for g in self.group.generators],
-            "normal_subgroup_orders": list(self.normal_subgroups.orders()),
+            "normal_subgroup_orders": [sub.order for sub in self.normal_subgroups],
             "is_simple": self.is_simple,
             "is_2transitive": self.is_2transitive,
             "in_affine": self.in_affine,

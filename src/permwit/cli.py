@@ -77,7 +77,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    g_group, n1, n2 = parse_multi_group_file(args.file, count=3)
+    g_group, n1, n2 = parse_multi_group_file(args.file)
     report = verify_candidate(g_group, n1, n2)
     _emit({
         "command": "verify",
@@ -102,7 +102,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 
 def cmd_embed(args: argparse.Namespace) -> int:
-    g_group, n1, n2 = parse_multi_group_file(args.file, count=3)
+    g_group, n1, n2 = parse_multi_group_file(args.file)
     embedding = embed(g_group, n1, n2)
     _emit({"command": "embed", "file": args.file, **embedding.to_json_dict()})
     _info(f"embed {args.file}: conditions "

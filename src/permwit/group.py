@@ -4,8 +4,8 @@ Order and membership go through a deterministic Schreier-Sims stabilizer
 chain (base points picked as the smallest moved point at each level, so
 chains and everything derived from them are reproducible across runs).
 Each level stores its transversal representatives and their inverses; the
-inverses, like the strong generators' working copies, are kept as 256-byte
-translation tables, so a sift step or a Schreier generator is one
+inverses, like the strong generators (one padded copy of each), are kept as
+256-byte translation tables, so a sift step or a Schreier generator is one
 `bytes.translate` per product and building or sifting the chain calls no
 Python-level kernel.
 
@@ -23,7 +23,7 @@ cached.  Distinct groups may be processed in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
@@ -45,9 +45,12 @@ class StabilizerChain:
     inverses of their representatives as 256-byte translation tables:
     `bytes.maketrans(rep, ident)`, whose first `degree` bytes are rep^-1.
     A sift step is then `table.translate(inv_rep)`, the product
-    rep^-1 * table.
+    rep^-1 * table.  Each strong generator is kept once in `sgens`, padded
+    to 256 bytes like the inverses; `stabilizer_gens` cuts them back to
+    `degree` bytes.
 
-    `base_prefix` forces the given 0-based points to head the base (used
+    `gen_tables` must be distinct non-identity tables, as in
+    `PermGroup._tables`.  `base_prefix` forces the given 0-based points to head the base (used
     for pointwise stabilizers).  `order_limit` aborts construction with
     _OrderLimitHit as soon as the transversal-size product exceeds it;
     a chain that finishes under a limit is a complete, valid chain.
@@ -60,8 +63,6 @@ class StabilizerChain:
         self._limit = order_limit
         self.base: List[int] = []
         self.sgens: List[bytes] = []
-        # sgens[k] padded to 256 bytes, the form `bytes.translate` consumes
-        self._padded_sgens: List[bytes] = []
         # depths[k] is the index of the first base point sgens[k] moves; the
         # base only grows at its end, so a depth never changes
         self.depths: List[int] = []
@@ -69,11 +70,7 @@ class StabilizerChain:
         self.inv_transversals: List[Dict[int, bytes]] = []
         for b in base_prefix:
             self._append_level(b)
-        seen: Set[bytes] = set()
         for g in gen_tables:
-            if g == self._ident or g in seen:
-                continue
-            seen.add(g)
             self._add_gen(g, self._cover(g))
         self._recompute(0, len(self.base))
         self._complete()
@@ -92,17 +89,12 @@ class StabilizerChain:
         return len(self.base) - 1
 
     def _add_gen(self, g: bytes, depth: int) -> None:
-        self.sgens.append(g)
-        self._padded_sgens.append(g + kernels.PADDED_IDENTITY[len(g):])
+        self.sgens.append(g + kernels.PADDED_IDENTITY[len(g):])
         self.depths.append(depth)
 
     def _gens_at(self, i: int) -> List[bytes]:
         # the strong generators fixing base[:i] pointwise, in sgens order
         return [g for g, d in zip(self.sgens, self.depths) if d >= i]
-
-    def _padded_gens_at(self, i: int) -> List[bytes]:
-        # _gens_at(i), padded; s[x] is unchanged for every point x
-        return [g for g, d in zip(self._padded_sgens, self.depths) if d >= i]
 
     def _recompute(self, lo: int, hi: int) -> None:
         for i in range(lo, hi):
@@ -112,7 +104,7 @@ class StabilizerChain:
 
     def _rebuild_transversal(self, i: int) -> None:
         # u_y = s * u_x is u_x translated by s; its inverse is one maketrans
-        gens = self._padded_gens_at(i)
+        gens = self._gens_at(i)
         b = self.base[i]
         ident = self._ident
         trans = {b: ident}
@@ -158,7 +150,7 @@ class StabilizerChain:
     def _check_level(self, i: int) -> Optional[int]:
         trans = self.transversals[i]
         inv_trans = self.inv_transversals[i]
-        gens = self._padded_gens_at(i)
+        gens = self._gens_at(i)
         for x in sorted(trans):
             ux = trans[x]
             for s in gens:
@@ -186,7 +178,7 @@ class StabilizerChain:
 
     def stabilizer_gens(self, k: int) -> List[bytes]:
         """Strong generators fixing the first k base points pointwise."""
-        return self._gens_at(k)
+        return [g[:self.degree] for g in self._gens_at(k)]
 
     def random_element(self, rng: Random) -> bytes:
         elem = self._ident
@@ -199,8 +191,8 @@ class StabilizerChain:
 class PermGroup:
     """A permutation group given by generators, with a lazy stabilizer chain."""
 
-    __slots__ = ("_degree", "_generators", "_chain", "_elements", "_classes", "_class_of",
-                 "_normals")
+    __slots__ = ("_degree", "_generators", "_tables", "_chain", "_elements", "_classes",
+                 "_class_of", "_normals")
 
     def __init__(self, generators: Iterable[Permutation], degree: Optional[int] = None):
         gens = tuple(generators)
@@ -214,13 +206,16 @@ class PermGroup:
                     f"generator degree {g.degree} does not match group degree {degree}")
         self._degree = degree
         self._generators = gens
+        # the distinct non-identity generator tables, in generator order
+        ident = bytes(range(degree))
+        self._tables = tuple(t for t in dict.fromkeys(g.table for g in gens) if t != ident)
         self._chain: Optional[StabilizerChain] = None
         self._elements: Optional[List[bytes]] = None
         # conjugacy classes as (lex-least member, size), and each element's
         # index in that list
         self._classes: Optional[List[Tuple[bytes, int]]] = None
         self._class_of: Optional[Dict[bytes, int]] = None
-        self._normals: Optional[List[NormalSubgroup]] = None
+        self._normals: Optional[Tuple[NormalSubgroup, ...]] = None
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -239,21 +234,10 @@ class PermGroup:
     def generators(self) -> Tuple[Permutation, ...]:
         return self._generators
 
-    def _gen_tables(self) -> List[bytes]:
-        ident = bytes(range(self._degree))
-        out: List[bytes] = []
-        seen: Set[bytes] = set()
-        for g in self._generators:
-            t = g.table
-            if t != ident and t not in seen:
-                seen.add(t)
-                out.append(t)
-        return out
-
     @property
     def chain(self) -> StabilizerChain:
         if self._chain is None:
-            self._chain = StabilizerChain(self._degree, self._gen_tables())
+            self._chain = StabilizerChain(self._degree, self._tables)
         return self._chain
 
     def order(self) -> int:
@@ -264,7 +248,7 @@ class PermGroup:
         if self._chain is not None:
             return self.order() > limit
         try:
-            chain = StabilizerChain(self._degree, self._gen_tables(), order_limit=limit)
+            chain = StabilizerChain(self._degree, self._tables, order_limit=limit)
         except _OrderLimitHit:
             return True
         self._chain = chain
@@ -281,21 +265,19 @@ class PermGroup:
 
     def orbits(self) -> List[Tuple[int, ...]]:
         """Partition of {1..degree} into orbits, each sorted, ordered by least point."""
-        tables = self._gen_tables()
         remaining = set(range(self._degree))
         out: List[Tuple[int, ...]] = []
         while remaining:
             x = min(remaining)
-            orb = kernels.orbit(x, tables) if tables else {x}
+            orb = kernels.orbit(x, self._tables)
             remaining -= orb
             out.append(tuple(p + 1 for p in sorted(orb)))
         return out
 
     def orbit_of(self, point: int) -> frozenset:
-        tables = self._gen_tables()
         if not 1 <= point <= self._degree:
             raise ValueError(f"point {point} out of range 1..{self._degree}")
-        orb = kernels.orbit(point - 1, tables) if tables else {point - 1}
+        orb = kernels.orbit(point - 1, self._tables)
         return frozenset(p + 1 for p in orb)
 
     def is_transitive(self) -> bool:
@@ -306,13 +288,12 @@ class PermGroup:
         n = self._degree
         if n < 2:
             raise ValueError("2-transitivity needs degree >= 2")
-        tables = self._gen_tables()
         start = (0, 1)
         seen = {start}
         stack = [start]
         while stack:
             a, b = stack.pop()
-            for g in tables:
+            for g in self._tables:
                 pair = (g[a], g[b])
                 if pair not in seen:
                     seen.add(pair)
@@ -325,7 +306,7 @@ class PermGroup:
                 raise BudgetExceeded(
                     f"group order exceeds the enumeration budget of {ENUMERATION_BUDGET}")
             elems = kernels.close_elements(
-                self._degree, self._gen_tables(), ENUMERATION_BUDGET)
+                self._degree, self._tables, ENUMERATION_BUDGET)
             assert elems is not None and len(elems) == self.order()
             self._elements = elems
         return self._elements
@@ -346,7 +327,7 @@ class PermGroup:
             if not 1 <= p <= self._degree:
                 raise ValueError(f"point {p} out of range 1..{self._degree}")
             prefix.append(p - 1)
-        chain = StabilizerChain(self._degree, self._gen_tables(), base_prefix=prefix)
+        chain = StabilizerChain(self._degree, self._tables, base_prefix=prefix)
         gens = [Permutation._from_table(t) for t in chain.stabilizer_gens(len(prefix))]
         return PermGroup(gens, degree=self._degree)
 
@@ -365,12 +346,11 @@ class PermGroup:
                 current.append(s.table)
         if not current:
             return PermGroup.trivial(self._degree)
-        gen_tables = self._gen_tables()
         chain = StabilizerChain(self._degree, current)
         changed = True
         while changed:
             changed = False
-            for g in gen_tables:
+            for g in self._tables:
                 ginv = kernels.inverse(g)
                 for h in list(current):
                     c = kernels.compose(g, kernels.compose(h, ginv))
@@ -385,7 +365,7 @@ class PermGroup:
         """(representative, class size) pairs; reps are the lex-least class members."""
         tables = self.element_tables()
         if self._classes is None:
-            gen_tables = self._gen_tables()
+            gen_tables = self._tables
             inv_tables = [kernels.inverse(g) for g in gen_tables]
             class_of: Dict[bytes, int] = {}
             classes: List[Tuple[bytes, int]] = []
@@ -400,7 +380,7 @@ class PermGroup:
             self._class_of = class_of
         return [(Permutation._from_table(t), size) for t, size in self._classes]
 
-    def all_normal_subgroups(self) -> "NormalSubgroupList":
+    def all_normal_subgroups(self) -> Tuple["NormalSubgroup", ...]:
         """Every normal subgroup, as the join-closure of class-rep normal closures.
 
         A normal subgroup is a union of conjugacy classes, and it contains a
@@ -423,17 +403,17 @@ class PermGroup:
         (as `normal_closure` does) and then joining registered subgroups
         pairwise until nothing new appears.  No stabilizer chain is built
         here: each entry's group builds its own lazily, when a caller needs
-        one.  The entries are computed once per group, cached, and shared
-        by every list returned.
+        one.  The entries are computed once per group, sorted by order, and
+        every call returns the same cached tuple.
         """
         if self._normals is not None:
-            return NormalSubgroupList(parent=self, entries=self._normals)
+            return self._normals
         total = len(self.element_tables())
         classes = self.conjugacy_classes()
         reps = [rep.table for rep, _ in classes]
         sizes = [size for _, size in classes]
         class_of = self._class_of
-        gen_tables = self._gen_tables()
+        gen_tables = self._tables
         inv_tables = [kernels.inverse(g) for g in gen_tables]
 
         def closure(gens: List[bytes]) -> Set[bytes]:
@@ -511,10 +491,8 @@ class PermGroup:
             entries.append(NormalSubgroup(group=group, order=orders[mask],
                                           index=total // orders[mask]))
         entries.sort(key=lambda e: (e.order, tuple(sorted(g.table for g in e.generators))))
-        # cache the entries, not the list: its `parent` would make the group
-        # a reference cycle, freed only by the cyclic garbage collector
-        self._normals = entries
-        return NormalSubgroupList(parent=self, entries=entries)
+        self._normals = tuple(entries)
+        return self._normals
 
     def __repr__(self) -> str:
         gens = ", ".join(g.cycle_string() for g in self._generators) or "()"
@@ -530,21 +508,6 @@ class NormalSubgroup:
     @property
     def generators(self) -> Tuple[Permutation, ...]:
         return self.group.generators
-
-
-@dataclass
-class NormalSubgroupList:
-    parent: PermGroup
-    entries: List[NormalSubgroup] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def orders(self) -> Tuple[int, ...]:
-        return tuple(e.order for e in self.entries)
 
 
 def is_normal(n_group: PermGroup, g_group: PermGroup) -> bool:

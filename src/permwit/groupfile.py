@@ -9,8 +9,8 @@ Line 1 (after comments/blanks) declares the degree; each following
 nonempty line is one generator in cycle notation.  `#` starts a comment
 anywhere.  Output is canonical: generators in input order.
 
-Multi-group files (used by `verify` and `embed`) hold several sections
-separated by lines containing only `---`.
+Multi-group files (used by `verify` and `embed`) hold three sections,
+G, N1 and N2, separated by lines containing only `---`.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from permwit.group import PermGroup
 from permwit.perm import MAX_DEGREE, parse_cycles
 
 _DEGREE_RE = re.compile(r"^degree:\s*(\d+)$")
+MULTI_GROUP_COUNT = 3  # a multi-group file holds G, N1 and N2
 
 
 def _content_lines(text: str) -> List[Tuple[int, str]]:
@@ -64,16 +65,16 @@ def parse_group_text(text: str) -> PermGroup:
     return _parse_section(_content_lines(text))
 
 
-def parse_multi_group_text(text: str, count: int) -> List[PermGroup]:
+def parse_multi_group_text(text: str) -> List[PermGroup]:
     sections: List[List[Tuple[int, str]]] = [[]]
     for lineno, line in _content_lines(text):
         if line == "---":
             sections.append([])
         else:
             sections[-1].append((lineno, line))
-    if len(sections) != count:
+    if len(sections) != MULTI_GROUP_COUNT:
         raise GroupFileError(
-            f"expected {count} groups separated by '---' lines, "
+            f"expected {MULTI_GROUP_COUNT} groups separated by '---' lines, "
             f"found {len(sections)} sections", 0)
     return [_parse_section(s) for s in sections]
 
@@ -93,8 +94,8 @@ def parse_group_file(path: str) -> PermGroup:
     return parse_group_text(_read_text(path))
 
 
-def parse_multi_group_file(path: str, count: int = 3) -> List[PermGroup]:
-    return parse_multi_group_text(_read_text(path), count)
+def parse_multi_group_file(path: str) -> List[PermGroup]:
+    return parse_multi_group_text(_read_text(path))
 
 
 def format_group(group: PermGroup) -> str:

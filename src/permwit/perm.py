@@ -70,11 +70,6 @@ class Permutation:
         """The raw 0-based image table (kernel representation)."""
         return self._table
 
-    @property
-    def images(self) -> Tuple[int, ...]:
-        """The 1-based image table."""
-        return tuple(v + 1 for v in self._table)
-
     def __call__(self, point: int) -> int:
         if not 1 <= point <= self.degree:
             raise ValueError(f"point {point} out of range 1..{self.degree}")

@@ -162,8 +162,9 @@ def _analyze_sample(gens: List[Permutation], degree: int) -> _SampleOutcome:
         return outcome
     outcome.small = True
     normals = group.all_normal_subgroups()
-    transitive_subs = [s for s in normals if s.group.is_transitive()]
-    other_subs = [s for s in normals if not s.group.is_transitive()]
+    transitive_subs, other_subs = [], []
+    for sub in normals:
+        (transitive_subs if sub.group.is_transitive() else other_subs).append(sub)
     for n1 in transitive_subs:
         for n2 in other_subs:
             if n1.index != n2.index:

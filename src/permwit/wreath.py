@@ -90,9 +90,10 @@ class WreathElement:
                 block[j0] = image % q
             top_table[i0] = ti
             base_tables.append(bytes(block))
-        top = Permutation(_one_based(top_table))
-        return cls(top=top,
-                   base=tuple(Permutation(_one_based(b)) for b in base_tables))
+        # g is a bijection mapping each block onto a block, so the top and
+        # every base table are bijections too
+        return cls(top=Permutation._from_table(bytes(top_table)),
+                   base=tuple(Permutation._from_table(b) for b in base_tables))
 
     def text(self) -> str:
         base = ", ".join(b.cycle_string() for b in self.base)
@@ -103,10 +104,6 @@ class WreathElement:
 
     def __repr__(self) -> str:
         return f"WreathElement({self.text()})"
-
-
-def _one_based(table) -> List[int]:
-    return [v + 1 for v in table]
 
 
 def wreath_multiply(a: WreathElement, b: WreathElement) -> WreathElement:

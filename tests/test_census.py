@@ -203,15 +203,15 @@ class TestReports:
             calls["symmetric"] += 1
             return symmetric_elements(q)
 
-        # each lattice computation builds a new entries list, so every call
-        # on one group must return the same list; holding the groups keeps
-        # their ids unique
+        # each lattice computation builds a new tuple, so every call on one
+        # group must return the same tuple; holding the groups keeps their
+        # ids unique
         lattices = []
         all_normal_subgroups = PermGroup.all_normal_subgroups
 
         def recording_lattice(group, *args, **kwargs):
             result = all_normal_subgroups(group, *args, **kwargs)
-            lattices.append((group, result.entries))
+            lattices.append((group, result))
             return result
 
         monkeypatch.setattr(census_module, "_normalizer_tables", counting_normalizer)

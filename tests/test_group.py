@@ -204,15 +204,15 @@ class TestConjugacyClasses:
 class TestAllNormalSubgroups:
     def test_a5_is_simple(self):
         a5 = PermGroup.from_cycles(5, "(1 2 3)", "(3 4 5)")
-        assert a5.all_normal_subgroups().orders() == (1, 60)
+        assert tuple(e.order for e in a5.all_normal_subgroups()) == (1, 60)
 
     def test_s5(self):
         s5 = PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)")
-        assert s5.all_normal_subgroups().orders() == (1, 60, 120)
+        assert tuple(e.order for e in s5.all_normal_subgroups()) == (1, 60, 120)
 
     def test_cyclic_divisor_lattice(self):
         c6 = PermGroup.from_cycles(6, "(1 2 3 4 5 6)")
-        assert c6.all_normal_subgroups().orders() == (1, 2, 3, 6)
+        assert tuple(e.order for e in c6.all_normal_subgroups()) == (1, 2, 3, 6)
 
     @pytest.mark.parametrize("group", [
         PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)"),
@@ -250,7 +250,7 @@ class TestAllNormalSubgroups:
     def test_lattice_is_cached_and_budget_still_checked(self):
         s5 = PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)")
         first = s5.all_normal_subgroups()
-        assert s5.all_normal_subgroups().entries is first.entries
+        assert s5.all_normal_subgroups() is first
 
     def test_entries_are_normal_with_consistent_index(self):
         for group in (PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)"),
@@ -342,7 +342,7 @@ class TestInverseTransversals:
 
 def test_chain_build_and_sift_call_no_kernel(monkeypatch):
     s7 = [g.table for g in PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)").generators]
-    wreath = wreath_15_chain().sgens
+    wreath = wreath_15_chain().stabilizer_gens(0)
     calls = []
 
     def counting(name):
@@ -400,6 +400,36 @@ def test_gens_at_matches_prefix_scan(build):
         prefix = chain.base[:i]
         scan = [g for g in chain.sgens if all(g[b] == b for b in prefix)]
         assert chain._gens_at(i) == scan
+
+
+@pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],
+                         ids=["S7", "wreath_15", "S7_base_prefix"])
+def test_strong_generators_are_padded_and_cut_back(build):
+    chain = build()
+    assert chain.sgens
+    assert all(len(g) == 256 for g in chain.sgens)
+    for k in range(len(chain.base) + 1):
+        gens = chain.stabilizer_gens(k)
+        assert all(len(g) == chain.degree for g in gens)
+        assert all(g[b] == b for g in gens for b in chain.base[:k])
+
+
+@pytest.mark.parametrize("cycles", [
+    (5, "(1 2)", "(1 2 3 4 5)"),
+    (9, "(1 2 3 4 5 6 7 8 9)", "(2 5 8)(3 9 6)"),
+], ids=["S5", "tau_sigma_9"])
+def test_identity_and_repeated_generators_change_nothing(cycles):
+    degree, *strings = cycles
+    plain = PermGroup.from_cycles(degree, *strings)
+    ident = Permutation.identity(degree)
+    a, b = plain.generators
+    padded = PermGroup([ident, a, ident, b, a, b], degree=degree)
+    assert padded.chain.base == plain.chain.base
+    assert padded.chain.sgens == plain.chain.sgens
+    assert padded.orbits() == plain.orbits()
+    assert padded.element_tables() == plain.element_tables()
+    assert ([e.order for e in padded.all_normal_subgroups()]
+            == [e.order for e in plain.all_normal_subgroups()])
 
 
 class TestPointwiseStabilizer:

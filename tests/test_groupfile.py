@@ -67,13 +67,13 @@ def test_multi_group_round_trip():
         PermGroup.from_cycles(6, "(2 6)(3 5)", "(1 3 5)(2 4 6)"),
     ]
     text = format_groups(groups)
-    parsed = parse_multi_group_text(text, 3)
+    parsed = parse_multi_group_text(text)
     assert [g.generators for g in parsed] == [g.generators for g in groups]
 
 
 def test_multi_group_wrong_count():
     with pytest.raises(GroupFileError, match="expected 3 groups"):
-        parse_multi_group_text("degree: 2\n(1 2)\n", 3)
+        parse_multi_group_text("degree: 2\n(1 2)\n")
 
 
 @pytest.mark.parametrize("parse", [parse_group_file, parse_multi_group_file])

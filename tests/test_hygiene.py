@@ -72,3 +72,10 @@ def test_no_dead_definitions():
     dead = sorted(f"{path.name}:{name}" for path in sorted(SRC.glob("*.py"))
                   for name in set(_defined_names(_parse(path))) - mentioned)
     assert dead == [], f"definitions nothing references: {dead}"
+
+
+def test_every_export_exists():
+    import permwit
+
+    missing = sorted(name for name in permwit.__all__ if not hasattr(permwit, name))
+    assert missing == [], f"permwit.__all__ names missing attributes: {missing}"
