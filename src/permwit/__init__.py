@@ -20,15 +20,7 @@ from permwit.errors import (
     PermwitError,
 )
 from permwit.group import NormalSubgroup, PermGroup, is_normal
-from permwit.perm import (
-    Permutation,
-    compose,
-    conjugate,
-    orbit,
-    parse_cycles,
-    power,
-    print_cycles,
-)
+from permwit.perm import Permutation, orbit, parse_cycles
 
 __version__ = "0.1.0"
 
@@ -36,11 +28,7 @@ __all__ = [
     "Permutation",
     "PermGroup",
     "NormalSubgroup",
-    "compose",
-    "conjugate",
-    "power",
     "parse_cycles",
-    "print_cycles",
     "orbit",
     "is_normal",
     "PermwitError",

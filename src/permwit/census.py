@@ -33,9 +33,10 @@ Exact for q in {2, 3, 5, 7}; larger degrees are out of budget.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
@@ -112,20 +113,6 @@ def _conjugate_set(tables: Sequence[bytes], u: bytes) -> Fingerprint:
         kernels.compose(u, kernels.compose(t, uinv)) for t in tables))
 
 
-class _ClassKeyCache:
-    """Canonical AGL-conjugacy key of a subgroup: the lexicographically
-    least sorted element tuple over its AGL conjugates."""
-
-    def __init__(self, agl_elements: Sequence[bytes]):
-        self.agl = list(agl_elements)
-        self.cache: Dict[Fingerprint, Fingerprint] = {}
-
-    def key(self, exact: Fingerprint) -> Fingerprint:
-        if exact not in self.cache:
-            self.cache[exact] = min(_agl_conjugates(exact, self.agl))
-        return self.cache[exact]
-
-
 def _coset_reps(xs: Iterable[bytes], h_elements: Sequence[bytes],
                 covered: Set[bytes]) -> List[bytes]:
     """The x in `xs` outside `covered`, each of which then adds its whole
@@ -196,9 +183,15 @@ def _cycle_group(q: int) -> Fingerprint:
 
 
 def _enumerate_class_reps(q: int, sq_elements: Sequence[bytes],
-                          keys: _ClassKeyCache) -> Set[Fingerprint]:
-    """Route A: sweep canonical class representatives only."""
-    return _overgroups(keys.key(_cycle_group(q)), sq_elements, keys.key)
+                          agl_elements: Sequence[bytes]) -> Set[Fingerprint]:
+    """Route A: sweep canonical class representatives only.  A subgroup's
+    canonical key is the lexicographically least sorted element tuple over
+    its AGL conjugates, computed once per subgroup."""
+    @functools.cache
+    def key(exact: Fingerprint) -> Fingerprint:
+        return min(_agl_conjugates(exact, agl_elements))
+
+    return _overgroups(key(_cycle_group(q)), sq_elements, key)
 
 
 def _enumerate_all_overgroups(q: int, sq_elements: Sequence[bytes]) -> Set[Fingerprint]:
@@ -259,9 +252,7 @@ def census(q: int) -> List[CensusEntry]:
     sq_elements = _symmetric_elements(q)
     agl_elements = affine_group(q).element_tables()
     agl_set = set(agl_elements)
-    keys = _ClassKeyCache(agl_elements)
-
-    route_a = sorted(_enumerate_class_reps(q, sq_elements, keys))
+    route_a = sorted(_enumerate_class_reps(q, sq_elements, agl_elements))
     route_b = _partition_into_classes(_enumerate_all_overgroups(q, sq_elements), agl_elements)
     if route_a != route_b:
         raise PermwitError(
@@ -379,7 +370,8 @@ def verify_burnside(entry: CensusEntry) -> BurnsideReport:
     with a nonabelian simple transitive normal subgroup."""
     witness_order = next(
         (sub.order for sub in _simple_transitive_normals(entry)
-         if any(g * h != h * g for g in sub.generators for h in sub.generators)),
+         if any(g * h != h * g
+                for g in sub.group.generators for h in sub.group.generators)),
         None)
     return BurnsideReport(
         order=entry.order,
@@ -485,7 +477,7 @@ def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
             for n_sub in entry.normal_subgroups:
                 if n_sub.order == 1:
                     continue
-                if not all(n_sub.group.contains(g) for g in h_sub.generators):
+                if not all(n_sub.group.contains(g) for g in h_sub.group.generators):
                     failures.append({
                         "G_order": entry.order,
                         "H_order": h_sub.order,

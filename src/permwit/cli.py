@@ -25,7 +25,7 @@ from permwit.groupfile import parse_multi_group_file
 from permwit.refute import refute
 from permwit.witness import (
     construct_witness,
-    smallest_valid_prime,
+    valid_primes,
     verify_candidate,
     verify_witness,
 )
@@ -47,7 +47,7 @@ def _info(message: str) -> None:
 
 
 def _witness_unavailable_message(n: int) -> str:
-    factors = factorize(n).factors
+    factors = factorize(n)
     if len(factors) == 2 and factors[0][1] == 1 and factors[1][1] == 1:
         p, q = factors[0][0], factors[1][0]
         if (q - 1) % p != 0:
@@ -64,10 +64,11 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.prime is not None:
         p = args.prime
     else:
-        p = smallest_valid_prime(n)
-        if p is None:
+        primes = valid_primes(n)
+        if not primes:
             _info(_witness_unavailable_message(n))
             return EXIT_INPUT_ERROR
+        p = primes[0]
     w = construct_witness(n, p)
     report = verify_witness(w)
     _emit({"command": "witness", **w.to_json_dict(report)})

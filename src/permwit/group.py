@@ -314,9 +314,6 @@ class PermGroup:
     def elements(self) -> List[Permutation]:
         return [Permutation._from_table(t) for t in self.element_tables()]
 
-    def element_set(self) -> frozenset:
-        return frozenset(self.element_tables())
-
     def random_element(self, rng: Random) -> Permutation:
         return Permutation._from_table(self.chain.random_element(rng))
 
@@ -490,7 +487,8 @@ class PermGroup:
                               degree=self._degree)
             entries.append(NormalSubgroup(group=group, order=orders[mask],
                                           index=total // orders[mask]))
-        entries.sort(key=lambda e: (e.order, tuple(sorted(g.table for g in e.generators))))
+        entries.sort(key=lambda e: (e.order,
+                                    tuple(sorted(g.table for g in e.group.generators))))
         self._normals = tuple(entries)
         return self._normals
 
@@ -504,10 +502,6 @@ class NormalSubgroup:
     group: PermGroup
     order: int
     index: int
-
-    @property
-    def generators(self) -> Tuple[Permutation, ...]:
-        return self.group.generators
 
 
 def is_normal(n_group: PermGroup, g_group: PermGroup) -> bool:

@@ -6,17 +6,11 @@ Trial division throughout -- inputs here are permutation degrees, so tiny.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Tuple
 
 
-@dataclass(frozen=True)
-class Factorization:
-    n: int
-    factors: Tuple[Tuple[int, int], ...]  # (prime, exponent), primes increasing
-
-
-def factorize(n: int) -> Factorization:
+def factorize(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The (prime, exponent) pairs of n, primes increasing."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     m = n
@@ -32,7 +26,7 @@ def factorize(n: int) -> Factorization:
         p += 1 if p == 2 else 2
     if m > 1:
         factors.append((m, 1))
-    return Factorization(n=n, factors=tuple(factors))
+    return tuple(factors)
 
 
 def is_prime(n: int) -> bool:
@@ -50,7 +44,7 @@ def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"euler_phi is undefined for {n}")
     result = n
-    for p, _ in factorize(n).factors:
+    for p, _ in factorize(n):
         result = result // p * (p - 1)
     return result
 
@@ -63,7 +57,7 @@ def mult_order(a: int, n: int) -> int:
     if math.gcd(a, n) != 1:
         raise ValueError(f"{a} is not a unit mod {n}")
     k = euler_phi(n)
-    for p, _ in factorize(k).factors:
+    for p, _ in factorize(k):
         while k % p == 0 and pow(a, k // p, n) == 1:
             k //= p
     return k

@@ -87,8 +87,6 @@ class Permutation:
     def inverse(self) -> "Permutation":
         return Permutation._from_table(kernels.inverse(self._table))
 
-    __invert__ = inverse
-
     def __pow__(self, e: int) -> "Permutation":
         base = self._table if e >= 0 else kernels.inverse(self._table)
         e = abs(e)
@@ -129,6 +127,7 @@ class Permutation:
         return out
 
     def cycle_string(self) -> str:
+        """Canonical cycle notation; parse_cycles reads it back at the same degree."""
         cycles = self.cycles()
         if not cycles:
             return "()"
@@ -141,7 +140,7 @@ class Permutation:
         return tuple(sorted(lengths))
 
     def order(self) -> int:
-        return math.lcm(*(len(c) for c in self.cycles())) if self.cycles() else 1
+        return math.lcm(*(len(c) for c in self.cycles()))
 
     def fixed_points(self) -> Tuple[int, ...]:
         return tuple(k + 1 for k, v in enumerate(self._table) if v == k)
@@ -168,21 +167,6 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation.from_cycles({self.cycle_string()!r}, degree={self.degree})"
-
-
-def compose(a: Permutation, b: Permutation) -> Permutation:
-    """Left-action product: compose(a, b)(x) = a(b(x))."""
-    return a * b
-
-
-def conjugate(g: Permutation, h: Permutation) -> Permutation:
-    """h * g * h^-1."""
-    return g.conjugate(h)
-
-
-def power(g: Permutation, e: int) -> Permutation:
-    """g composed with itself e times; negative e uses the inverse."""
-    return g ** e
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -238,11 +222,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not saw_cycle:
         raise CycleParseError("empty input; the identity is written '()'", 0)
     return Permutation._from_table(bytes(table))
-
-
-def print_cycles(g: Permutation) -> str:
-    """Canonical cycle notation; inverse of parse_cycles at the same degree."""
-    return g.cycle_string()
 
 
 def orbit(point: int, gens: Sequence[Permutation]) -> frozenset:

@@ -256,14 +256,3 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable) -> Optional[Tuple[int, ..
 
 def is_cyclic(t: CayleyTable) -> bool:
     return any(t.element_order(i) == t.order for i in range(t.order))
-
-
-def cyclic_table(m: int) -> CayleyTable:
-    """The cyclic group of order m as a Cayley table (reps act on m points)."""
-    if m < 1:
-        raise ValueError("order must be positive")
-    cycle = Permutation._from_table(bytes(list(range(1, m)) + [0])) if m > 1 \
-        else Permutation.identity(1)
-    reps = tuple(cycle ** k for k in range(m))
-    table = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
-    return CayleyTable(reps=reps, table=table)

@@ -175,8 +175,8 @@ def _analyze_sample(gens: List[Permutation], degree: int) -> _SampleOutcome:
             if verify_candidate(group, n1.group, n2.group).passed:
                 outcome.counterexamples.append({
                     "G": [g.cycle_string() for g in group.generators],
-                    "N1": [g.cycle_string() for g in n1.generators],
-                    "N2": [g.cycle_string() for g in n2.generators],
+                    "N1": [g.cycle_string() for g in n1.group.generators],
+                    "N2": [g.cycle_string() for g in n2.group.generators],
                     "index": n1.index,
                     "order": group.order(),
                 })

@@ -100,12 +100,7 @@ def valid_primes(n: int) -> List[int]:
     if not 2 <= n <= MAX_DEGREE:  # before factorize's trial division
         raise HypothesisError(f"degree must be in 2..{MAX_DEGREE}, got {n}")
     phi = euler_phi(n)
-    return [p for p, _ in factorize(n).factors if phi % p == 0]
-
-
-def smallest_valid_prime(n: int) -> Optional[int]:
-    primes = valid_primes(n)
-    return primes[0] if primes else None
+    return [p for p, _ in factorize(n) if phi % p == 0]
 
 
 def construct_witness(n: int, p: int) -> Witness:

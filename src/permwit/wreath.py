@@ -100,24 +100,21 @@ class WreathElement:
         return f"top={self.top.cycle_string()}; base=[{base}]"
 
     def __mul__(self, other: "WreathElement") -> "WreathElement":
-        return wreath_multiply(self, other)
+        """Product whose pair action is action(self) composed after action(other).
+
+        Under the package's left-action convention this comes out as
+        top = self.top * other.top and
+        base[i] = self.base[other.top(i)] * other.base[i].
+        """
+        if (self.p, self.q) != (other.p, other.q):
+            raise BlockStructureError(
+                f"shape mismatch: ({self.p},{self.q}) vs ({other.p},{other.q})")
+        base = tuple(self.base[other.top.table[i0]] * other.base[i0]
+                     for i0 in range(self.p))
+        return WreathElement(top=self.top * other.top, base=base)
 
     def __repr__(self) -> str:
         return f"WreathElement({self.text()})"
-
-
-def wreath_multiply(a: WreathElement, b: WreathElement) -> WreathElement:
-    """Product whose pair action is action(a) composed after action(b).
-
-    Under the package's left-action convention this comes out as
-    top = a.top * b.top and base[i] = a.base[b.top(i)] * b.base[i].
-    """
-    if (a.p, a.q) != (b.p, b.q):
-        raise BlockStructureError(
-            f"shape mismatch: ({a.p},{a.q}) vs ({b.p},{b.q})")
-    top = a.top * b.top
-    base = tuple(a.base[b.top.table[i0]] * b.base[i0] for i0 in range(a.p))
-    return WreathElement(top=top, base=base)
 
 
 @dataclass(frozen=True)
@@ -289,22 +286,6 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
                      relabel=relabel, image_map=image_map,
                      n1_images=n1_images, n2_images=n2_images,
                      conditions=conditions)
-
-
-def project_top(w: WreathElement) -> Permutation:
-    """The block permutation; a homomorphism on the whole wreath group."""
-    return w.top
-
-
-def project_base(w: WreathElement, i: int) -> Permutation:
-    """The i-th base component (1-based).
-
-    Only multiplicative when both factors have trivial top components;
-    on the full wreath group it is not a homomorphism.
-    """
-    if not 1 <= i <= w.p:
-        raise ValueError(f"block index {i} out of range 1..{w.p}")
-    return w.base[i - 1]
 
 
 def _block_points(i: int, q: int) -> List[int]:

@@ -74,7 +74,6 @@ def test_criterion_2_census_exactness(census5, census7):
     # element-fingerprint route disagree; re-run the routes here so the
     # agreement is checked visibly
     from permwit.census import (
-        _ClassKeyCache,
         _enumerate_all_overgroups,
         _enumerate_class_reps,
         _partition_into_classes,
@@ -84,7 +83,7 @@ def test_criterion_2_census_exactness(census5, census7):
     for q, expected in ((3, 2), (5, 5), (7, 7)):
         sq = _symmetric_elements(q)
         agl = affine_group(q).element_tables()
-        route_a = sorted(_enumerate_class_reps(q, sq, _ClassKeyCache(agl)))
+        route_a = sorted(_enumerate_class_reps(q, sq, agl))
         route_b = _partition_into_classes(_enumerate_all_overgroups(q, sq), agl)
         ok &= route_a == route_b and len(route_a) == expected
     report(2, "census counts 2/5/7 with the expected order multisets and "

@@ -179,7 +179,7 @@ class TestContainment:
         a5 = next(s for s in s5.normal_subgroups if s.order == 60)
         for sub in s5.normal_subgroups:
             if sub.order > 1:
-                assert all(sub.group.contains(g) for g in a5.generators)
+                assert all(sub.group.contains(g) for g in a5.group.generators)
 
 
 class TestReports:

@@ -223,7 +223,7 @@ class TestAllNormalSubgroups:
     ], ids=["S4", "D8", "C2^3", "C4xC2", "tau_sigma_9"])
     def test_matches_brute_force_oracle(self, group):
         lattice = group.all_normal_subgroups()
-        found = [sub.group.element_set() for sub in lattice]
+        found = [frozenset(sub.group.element_tables()) for sub in lattice]
         assert len(set(found)) == len(found)
         assert set(found) == normal_subgroup_oracle(group)
         for sub in lattice:

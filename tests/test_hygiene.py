@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module imports is used in that module, and
+"""Source hygiene: every name a module imports is used in that module,
 every function, method and class the package defines is referenced
-somewhere in the package, its tests or its benchmark."""
+somewhere in the package, its tests or its benchmark, and no module
+function only forwards to another spelling of the same operation."""
 
 import ast
 from pathlib import Path
@@ -79,3 +80,36 @@ def test_every_export_exists():
 
     missing = sorted(name for name in permwit.__all__ if not hasattr(permwit, name))
     assert missing == [], f"permwit.__all__ names missing attributes: {missing}"
+
+
+def _only_forwards(func: ast.FunctionDef) -> bool:
+    """True iff the body, after an optional docstring, is one `return` of a
+    parameter's attribute, of a binary operator on two parameters, or of a
+    parameter's method called with parameters only."""
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+
+    def is_param(node):
+        return isinstance(node, ast.Name) and node.id in params
+
+    value = body[0].value
+    if isinstance(value, ast.Call):
+        if not all(is_param(a) for a in value.args + [k.value for k in value.keywords]):
+            return False
+        value = value.func
+    if isinstance(value, ast.Attribute):
+        return is_param(value.value)
+    return isinstance(value, ast.BinOp) and is_param(value.left) and is_param(value.right)
+
+
+def test_no_forwarding_functions():
+    # a module function that only forwards to a method, an attribute or an
+    # operator is a second spelling of one operation; callers use the first
+    forwards = sorted(f"{path.name}:{node.name}" for path in MODULES
+                      for node in _parse(path).body
+                      if isinstance(node, ast.FunctionDef) and _only_forwards(node))
+    assert forwards == [], f"functions that only forward: {forwards}"

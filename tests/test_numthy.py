@@ -19,8 +19,8 @@ def phi_by_counting(n):
 def test_factorize_round_trip():
     for n in range(1, 2000):
         f = factorize(n)
-        assert math.prod(p ** e for p, e in f.factors) == n
-        primes = [p for p, _ in f.factors]
+        assert math.prod(p ** e for p, e in f) == n
+        primes = [p for p, _ in f]
         assert primes == sorted(primes)
         assert all(is_prime(p) for p in primes)
 

@@ -6,10 +6,9 @@ from permwit import kernels
 from permwit import quotient as quotient_module
 from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal, PermwitError
 from permwit.group import PermGroup
-from permwit.perm import random_permutation
+from permwit.perm import Permutation, random_permutation
 from permwit.quotient import (
     CayleyTable,
-    cyclic_table,
     find_isomorphism,
     is_cyclic,
     order_histogram,
@@ -28,6 +27,14 @@ def a5():
 def klein_table():
     v4 = PermGroup.from_cycles(4, "(1 2)(3 4)", "(1 3)(2 4)")
     return quotient(v4, PermGroup.trivial(4))
+
+
+def cyclic_table(m):
+    """The cyclic group of order m as a Cayley table (reps act on m points)."""
+    cycle = Permutation(list(range(2, m + 1)) + [1])
+    reps = tuple(cycle ** k for k in range(m))
+    table = tuple(tuple((a + b) % m for b in range(m)) for a in range(m))
+    return CayleyTable(reps=reps, table=table)
 
 
 def verify_mapping(t1, t2, mapping):

@@ -11,7 +11,6 @@ from permwit.witness import (
     Witness,
     build_sigma,
     construct_witness,
-    smallest_valid_prime,
     standard_cycle,
     valid_primes,
     verify_candidate,
@@ -153,11 +152,11 @@ class TestHypothesisSweep:
             assert n % size == 0 and size < n
 
     def test_smallest_valid_prime(self):
-        assert smallest_valid_prime(6) == 2
-        assert smallest_valid_prime(9) == 3
-        assert smallest_valid_prime(21) == 3
-        assert smallest_valid_prime(15) is None
-        assert smallest_valid_prime(7) is None
+        assert valid_primes(6)[0] == 2
+        assert valid_primes(9)[0] == 3
+        assert valid_primes(21)[0] == 3
+        assert valid_primes(15) == []
+        assert valid_primes(7) == []
 
 
 class TestSerialization:
