@@ -19,11 +19,17 @@ Each census fact is computed once: an entry keeps its lattice and, when
 simple, its normalizer in S_q; `census_report` runs the four checks, and
 the refutation pipeline reads its verdicts from that report.
 
-The sweeps work coset by coset on the subgroup A they start from, whose
-elements are known: <A, g> is A extended by whole left cosets
-(`kernels.extend_elements`), the double coset A g A is a union of left
-cosets of A, AGL-conjugates are taken with one conjugator per left coset
-of A & AGL, and the normalizer in S_q is tested one left coset at a time.
+The sweeps work on the subgroup A they start from, whose elements are
+known.  A stabilizer chain on A's generators and g gives the order of
+<A, g> before any element is listed.  A closure of the order of S_q is
+S_q.  A closure of the same order as one the same `_overgroups` call
+already listed, and whose generators that one holds, is that closure;
+each call keeps its own record, so the routes still share no closure.
+Only the rest are listed, as A extended by whole left cosets
+(`kernels.extend_elements`), and the count must equal the chain's order.
+The double coset A g A is a union of left cosets of A, AGL-conjugates
+are taken with one conjugator per left coset of A & AGL, and the
+normalizer in S_q is tested one left coset at a time.
 
 `in_affine` is a subset test: C is the only Sylow q-subgroup of AGL(1,q),
 so an entry with a conjugate inside AGL(1,q) lies inside it.
@@ -36,13 +42,14 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
 from permwit.group import (
     NormalSubgroup,
     PermGroup,
+    StabilizerChain,
     group_from_elements,
 )
 from permwit.numthy import is_prime, primitive_root
@@ -53,6 +60,8 @@ from permwit.witness import standard_cycle
 EXACT_LIMIT = 7
 
 Fingerprint = Tuple[bytes, ...]
+# closures listed by one `_overgroups` call: order -> (member set, sorted tuple)
+Listed = Dict[int, List[Tuple[Set[bytes], Fingerprint]]]
 
 
 def affine_group(q: int) -> PermGroup:
@@ -144,20 +153,43 @@ def _double_coset(a_elements: Sequence[bytes], g: bytes) -> Set[bytes]:
     return covered
 
 
-def _extensions(start: Fingerprint, ambient: Sequence[bytes]) -> Iterator[Fingerprint]:
+def _extensions(start: Fingerprint, ambient: Sequence[bytes],
+                listed: Listed) -> Iterator[Fingerprint]:
     """The sorted element tuple of <A, g>, for A the subgroup with element
     tuple `start` and one g per double coset A g A of the ambient group,
     whose element list `ambient` must be sorted; <A, g> = <A, a g b> for
-    a, b in A.  A closure that passes |ambient|/2 elements is the ambient
-    group by Lagrange, yielded as `tuple(ambient)` with no sort."""
-    gens = [p.table for p in group_from_elements(start, len(start[0])).generators]
+    a, b in A.
+
+    The order of <A, g> comes from a stabilizer chain on A's generators
+    and g.  A closure of the ambient order is the ambient group, yielded as
+    `tuple(ambient)`.  `listed` maps an order to the member sets and sorted
+    tuples of the closures of that order listed so far; one of them that
+    holds every generator is <A, g>, since it has the same order.  Any
+    other closure is listed coset by coset, must have exactly the chain's
+    order, and is added to `listed`."""
+    degree = len(start[0])
+    gens = [p.table for p in group_from_elements(start, degree).generators]
     covered = set(start)
-    half = len(ambient) // 2
     for g in ambient:
         if g in covered:
             continue
-        closure = kernels.extend_elements(start, gens + [g], half)
-        yield tuple(ambient) if closure is None else tuple(sorted(closure))
+        tables = gens + [g]  # distinct and non-identity, as g lies outside A
+        order = StabilizerChain(degree, tables).order()
+        if order == len(ambient):
+            yield tuple(ambient)
+        else:
+            same_order = listed.setdefault(order, [])
+            exact = next((known for members, known in same_order
+                          if members.issuperset(tables)), None)
+            if exact is None:
+                closure = kernels.extend_elements(start, tables, order)
+                if closure is None or len(closure) != order:
+                    raise PermwitError(
+                        f"coset enumeration disagrees with the stabilizer chain "
+                        f"order {order}")
+                exact = tuple(sorted(closure))
+                same_order.append((set(closure), exact))
+            yield exact
         covered |= _double_coset(start, g)
 
 
@@ -165,11 +197,12 @@ def _overgroups(start: Fingerprint, ambient: Sequence[bytes],
                 canon: Callable[[Fingerprint], Fingerprint]) -> Set[Fingerprint]:
     """`start` and every `canon(closure)` reached from it by breadth-first
     one-element extensions inside the sorted `ambient`; `start` must be its
-    own canonical form."""
+    own canonical form.  Each closure is listed at most once per call."""
     found = {start}
     work = [start]
+    listed: Listed = {}
     for sub in work:  # `work` grows while it is read
-        for closure in _extensions(sub, ambient):
+        for closure in _extensions(sub, ambient, listed):
             key = canon(closure)
             if key not in found:
                 found.add(key)
@@ -359,10 +392,13 @@ class BurnsideReport:
 
 
 def _simple_transitive_normals(entry: CensusEntry) -> List[NormalSubgroup]:
-    """The entry's nontrivial normal subgroups that are transitive and simple."""
+    """The entry's nontrivial normal subgroups that are transitive and simple.
+    The one of the entry's own order is the entry, whose simplicity is
+    known, so only proper normal subgroups have their lattices computed."""
     return [sub for sub in entry.normal_subgroups
             if sub.order > 1 and sub.group.is_transitive()
-            and len(sub.group.all_normal_subgroups()) == 2]
+            and (entry.is_simple if sub.order == entry.order
+                 else len(sub.group.all_normal_subgroups()) == 2)]
 
 
 def verify_burnside(entry: CensusEntry) -> BurnsideReport:

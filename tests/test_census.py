@@ -1,16 +1,22 @@
+import types
+
 import pytest
 
 from permwit import census as census_module
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
-from permwit.group import PermGroup
+from permwit.group import PermGroup, group_from_elements
 from permwit.census import (
     _agl_conjugates,
     _conjugate_set,
+    _cycle_group,
     _double_coset,
     _enumerate_all_overgroups,
+    _enumerate_class_reps,
+    _extensions,
     _normalizer_tables,
     _partition_into_classes,
+    _simple_transitive_normals,
     _symmetric_elements,
     affine_group,
     applicable_primes,
@@ -214,8 +220,16 @@ class TestReports:
             lattices.append((group, result))
             return result
 
+        entries = []
+        run_census = census_module.census
+
+        def recording_census(q):
+            entries.extend(run_census(q))
+            return entries
+
         monkeypatch.setattr(census_module, "_normalizer_tables", counting_normalizer)
         monkeypatch.setattr(census_module, "_symmetric_elements", counting_symmetric)
+        monkeypatch.setattr(census_module, "census", recording_census)
         monkeypatch.setattr(PermGroup, "all_normal_subgroups", recording_lattice)
         report = census_report(7)
         assert report["passed"]
@@ -223,8 +237,22 @@ class TestReports:
         assert calls["symmetric"] <= 2
         first = {}
         assert lattices
-        for group, entries in lattices:
-            assert first.setdefault(id(group), entries) is entries
+        for group, lattice in lattices:
+            assert first.setdefault(id(group), lattice) is lattice
+        # the normal subgroup of an entry's own order is the entry, whose
+        # lattice is already known: 7 entries and 6 proper normal subgroups
+        whole = {id(sub.group) for e in entries for sub in e.normal_subgroups
+                 if sub.order == e.order}
+        assert len(whole) == len(entries) == 7
+        assert not whole & set(first)
+        assert len(first) == 13
+
+    def test_simple_transitive_normals_match_every_lattice(self, census5, census7):
+        for entry in census5 + census7:
+            reference = [sub for sub in entry.normal_subgroups
+                         if sub.order > 1 and sub.group.is_transitive()
+                         and len(sub.group.all_normal_subgroups()) == 2]
+            assert _simple_transitive_normals(entry) == reference
 
 
 def _agl_tables(q):
@@ -323,3 +351,69 @@ def test_in_affine_matches_conjugator_search(q, census5, census7):
     assert flags == [_in_affine_by_conjugation(e.group, agl) for e in entries]
     # the affine entries are exactly the overgroups of C_q in AGL(1,q)
     assert sum(flags) == sum(1 for d in range(1, q) if (q - 1) % d == 0)
+
+
+def _dimino_to_half(start, ambient):
+    """Reference for `_extensions`: close every <A, g> by Dimino's method,
+    and take a closure that passes half the ambient order to be the
+    ambient group, by Lagrange."""
+    gens = [p.table for p in group_from_elements(start, len(start[0])).generators]
+    covered = set(start)
+    half = len(ambient) // 2
+    for g in ambient:
+        if g in covered:
+            continue
+        closure = kernels.extend_elements(start, gens + [g], half)
+        yield tuple(ambient) if closure is None else tuple(sorted(closure))
+        covered |= _double_coset(start, g)
+
+
+def _census_kernels(extend_elements):
+    """`kernels` as `census` sees it, with `extend_elements` replaced."""
+    return types.SimpleNamespace(**{**vars(kernels), "extend_elements": extend_elements})
+
+
+class TestExtensions:
+    def test_matches_dimino_to_half(self, census5, census7):
+        s5 = _symmetric_elements(5)
+        s7 = _symmetric_elements(7)
+        cases = [
+            (s5, [(bytes(range(5)),), _cycle_group(5)] + [_exact(e) for e in census5]),
+            (s7, [_cycle_group(7), _exact(next(e for e in census7 if e.order == 14))]),
+            (sorted(_agl_tables(7)), [_cycle_group(7)]),
+        ]
+        for ambient, starts in cases:
+            # one record per ambient, as in one `_overgroups` call
+            listed = {}
+            for start in starts:
+                expected = list(_dimino_to_half(start, ambient))
+                assert list(_extensions(start, ambient, listed)) == expected
+
+    def test_each_route_lists_each_closure_once(self, monkeypatch):
+        listed = []
+
+        def recording(subgroup, gens, limit):
+            result = kernels.extend_elements(subgroup, gens, limit)
+            listed.append(tuple(sorted(result)))
+            return result
+
+        monkeypatch.setattr(census_module, "kernels", _census_kernels(recording))
+        sq = _symmetric_elements(7)
+        agl = _agl_tables(7)
+        for route in (lambda: _enumerate_class_reps(7, sq, agl),
+                      lambda: _enumerate_all_overgroups(7, sq)):
+            listed.clear()
+            route()
+            # the proper closures of order 14, 21, 42 and 2520, and the two
+            # groups of order 168 that C_7 lies in; S_7 is never listed
+            assert len(listed) == len(set(listed)) == 6
+            assert all(len(exact) < len(sq) for exact in listed)
+
+    def test_a_dropped_coset_is_caught(self, monkeypatch):
+        def dropping(subgroup, gens, limit):
+            result = kernels.extend_elements(subgroup, gens, limit)
+            return result[:-len(subgroup)]
+
+        monkeypatch.setattr(census_module, "kernels", _census_kernels(dropping))
+        with pytest.raises(PermwitError, match="stabilizer chain"):
+            census(7)
