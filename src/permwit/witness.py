@@ -6,10 +6,12 @@ G/N2.  One exists whenever some prime p divides both n and phi(n); the
 construction conjugates the full n-cycle by a multiplication map of order
 p on the residues mod n.
 
-Verification never trusts the construction: orders, indices, orbits and
-the quotient isomorphism are all recomputed from scratch, and the
-non-transitivity of N2 gets a second, independent certificate (|N2| = n
-together with a fixed point of a non-identity element).
+Construction only builds the triple; `verify_witness` checks it, once, and
+its report is the verdict.  Verification never trusts the construction:
+orders, indices, orbits and the quotient isomorphism are all recomputed
+from scratch, and the non-transitivity of N2 gets a second, independent
+certificate (|N2| = n together with a fixed point of a non-identity
+element).
 """
 
 from __future__ import annotations
@@ -59,10 +61,9 @@ class Witness:
     G: PermGroup
     N1: PermGroup
     N2: PermGroup
-    verified: bool = False
 
-    def to_json_dict(self, report: Optional[VerificationReport] = None) -> dict:
-        out = {
+    def to_json_dict(self, report: VerificationReport) -> dict:
+        return {
             "n": self.n,
             "p": self.p,
             "i": self.i,
@@ -71,11 +72,9 @@ class Witness:
             "G": [g.cycle_string() for g in self.G.generators],
             "N1": [g.cycle_string() for g in self.N1.generators],
             "N2": [g.cycle_string() for g in self.N2.generators],
-            "verified": self.verified,
+            "verified": report.passed,
+            "report": report.to_json_dict(),
         }
-        if report is not None:
-            out["report"] = report.to_json_dict()
-        return out
 
 
 def standard_cycle(n: int) -> Permutation:
@@ -104,7 +103,7 @@ def valid_primes(n: int) -> List[int]:
 
 
 def construct_witness(n: int, p: int) -> Witness:
-    """Build and fully verify the degree-n witness for the prime p.
+    """Build the degree-n witness for the prime p; `verify_witness` checks it.
 
     Requires p | n and p | phi(n); the error message names whichever
     hypothesis fails.
@@ -133,14 +132,7 @@ def construct_witness(n: int, p: int) -> Witness:
     g_group = PermGroup([tau, sigma])
     n1 = PermGroup([tau])
     n2 = PermGroup([sigma, tau ** p])
-    w = Witness(n=n, p=p, i=i, tau=tau, sigma=sigma, G=g_group, N1=n1, N2=n2)
-    report = verify_witness(w)
-    if not report.passed:
-        raise PermwitError(
-            f"internal error: constructed witness failed verification: "
-            f"{report.to_json_dict()}")
-    w.verified = True
-    return w
+    return Witness(n=n, p=p, i=i, tau=tau, sigma=sigma, G=g_group, N1=n1, N2=n2)
 
 
 def verify_candidate(g_group: PermGroup, n1: PermGroup, n2: PermGroup,

@@ -197,17 +197,12 @@ class TestReports:
         assert all(w["passed"] for w in r["wielandt"])
 
     def test_each_census_fact_is_computed_once(self, monkeypatch):
-        calls = {"normalizer": 0, "symmetric": 0}
+        calls = {"normalizer": 0}
         normalizer_tables = census_module._normalizer_tables
-        symmetric_elements = census_module._symmetric_elements
 
         def counting_normalizer(*args):
             calls["normalizer"] += 1
             return normalizer_tables(*args)
-
-        def counting_symmetric(q):
-            calls["symmetric"] += 1
-            return symmetric_elements(q)
 
         # each lattice computation builds a new tuple, so every call on one
         # group must return the same tuple; holding the groups keeps their
@@ -228,13 +223,13 @@ class TestReports:
             return entries
 
         monkeypatch.setattr(census_module, "_normalizer_tables", counting_normalizer)
-        monkeypatch.setattr(census_module, "_symmetric_elements", counting_symmetric)
+        census_module._symmetric_elements.cache_clear()
         monkeypatch.setattr(census_module, "census", recording_census)
         monkeypatch.setattr(PermGroup, "all_normal_subgroups", recording_lattice)
         report = census_report(7)
         assert report["passed"]
         assert calls["normalizer"] == 3  # one per simple entry
-        assert calls["symmetric"] <= 2
+        assert census_module._symmetric_elements.cache_info().misses == 1  # one S_q
         first = {}
         assert lattices
         for group, lattice in lattices:

@@ -4,7 +4,9 @@ import time
 
 import pytest
 
+import permwit.witness as witness_module
 from permwit.cli import main
+from permwit.group import PermGroup
 from permwit.groupfile import format_groups
 from permwit.witness import construct_witness
 
@@ -210,6 +212,73 @@ class TestExitCodeSeparation:
         bad_input = tmp_path / "broken.grp"
         bad_input.write_text("degree: -1\n")
         assert run_cli(capsys, "verify", str(bad_input))[0] == 2
+
+
+def test_witness_is_verified_once(capsys, monkeypatch):
+    calls = []
+    verify_candidate = witness_module.verify_candidate
+
+    def counting_verify_candidate(*args, **kwargs):
+        calls.append(args)
+        return verify_candidate(*args, **kwargs)
+
+    monkeypatch.setattr(witness_module, "verify_candidate", counting_verify_candidate)
+    code, payload, _ = run_cli(capsys, "witness", "21")
+    assert code == 0 and payload["verified"] is True
+    assert len(calls) == 1
+
+
+def _no_quotient_isomorphism(monkeypatch, tmp_path):
+    monkeypatch.setattr(witness_module, "find_isomorphism", lambda *args: None)
+    return ["witness", "21"]
+
+
+def _intransitive_block_projections(monkeypatch, tmp_path):
+    path = witness_file(tmp_path, 21, 3)
+    is_transitive = PermGroup.is_transitive
+    monkeypatch.setattr(PermGroup, "is_transitive",
+                        lambda group: group.degree != 7 and is_transitive(group))
+    return ["embed", path]
+
+
+def _never_doubly_transitive(monkeypatch, tmp_path):
+    monkeypatch.setattr(PermGroup, "is_2_transitive", lambda group: False)
+    return ["census", "5"]
+
+
+def _refute_never_doubly_transitive(monkeypatch, tmp_path):
+    _never_doubly_transitive(monkeypatch, tmp_path)
+    return ["refute", "3", "5", "--samples", "0"]
+
+
+# one forced mathematical failure per command: each must reach the report,
+# exit 1 and show the failed verdict, never exit 2 or raise
+@pytest.mark.parametrize("force, failed", [
+    pytest.param(_no_quotient_isomorphism,
+                 lambda out: out["verified"] is False
+                 and out["report"]["clauses"]["d"]["ok"] is False,
+                 id="witness"),
+    pytest.param(_intransitive_block_projections,
+                 lambda out: out["conditions"]["n2_projections_transitive"]
+                 == [False, False, False],
+                 id="embed"),
+    pytest.param(_never_doubly_transitive,
+                 lambda out: out["passed"] is False
+                 and [b["order"] for b in out["burnside"] if not b["passed"]]
+                 == [60, 120],
+                 id="census"),
+    pytest.param(_refute_never_doubly_transitive,
+                 lambda out: out["census_verdicts"]["burnside"] is False
+                 and out["verdict"] == "THEOREM-VIOLATION",
+                 id="refute"),
+])
+def test_mathematical_failure_is_a_verdict(capsys, monkeypatch, tmp_path, force, failed):
+    argv = force(monkeypatch, tmp_path)
+    code, payload, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert failed(payload)
+    assert len(err.splitlines()) == 1 and not err.startswith("error:")
+    assert "Traceback" not in err
 
 
 # the exit code and the sha256 of stdout of each command, recorded from an

@@ -49,7 +49,7 @@ class TestConstructWitness:
         w = construct_witness(6, 2)
         assert (w.G.order(), w.N1.order(), w.N2.order()) == (12, 6, 6)
         assert w.N2.orbits() == [(1, 3, 5), (2, 4, 6)]
-        assert w.verified
+        assert verify_witness(w).passed
 
     def test_degree_nine(self):
         w = construct_witness(9, 3)
