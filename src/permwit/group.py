@@ -3,6 +3,12 @@
 Order and membership go through a deterministic Schreier-Sims stabilizer
 chain (base points picked as the smallest moved point at each level, so
 chains and everything derived from them are reproducible across runs).
+Each level keeps its own list of strong generators.  An input generator
+sits on levels 0..d, where base[d] is the first base point it moves.  A
+residue found while checking the Schreier generators of level i sits only
+on levels i+1..j, where j is the level at which it stopped sifting: levels
+0..i already generate it, so they never sift products with it (Holt, Eick
+and O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.4).
 Each level stores its transversal representatives and their inverses; the
 inverses, like the strong generators (one padded copy of each), are kept as
 256-byte translation tables, so a sift step or a Schreier generator is one
@@ -47,7 +53,10 @@ class StabilizerChain:
     A sift step is then `table.translate(inv_rep)`, the product
     rep^-1 * table.  Each strong generator is kept once in `sgens`, padded
     to 256 bytes like the inverses; `stabilizer_gens` cuts them back to
-    `degree` bytes.
+    `degree` bytes.  `stabilizer_gens(k)` lists level k's strong
+    generators, placed by the per-level rule of the module docstring; they
+    fix the first k base points and, once the chain is complete, generate
+    their pointwise stabilizer.
 
     `gen_tables` must be distinct non-identity tables, as in
     `PermGroup._tables`.  `base_prefix` forces the given 0-based points to head the base (used
@@ -63,20 +72,20 @@ class StabilizerChain:
         self._limit = order_limit
         self.base: List[int] = []
         self.sgens: List[bytes] = []
-        # depths[k] is the index of the first base point sgens[k] moves; the
-        # base only grows at its end, so a depth never changes
-        self.depths: List[int] = []
+        # _level_gens[i] lists the strong generators of level i, in sgens order
+        self._level_gens: List[List[bytes]] = []
         self.transversals: List[Dict[int, bytes]] = []
         self.inv_transversals: List[Dict[int, bytes]] = []
         for b in base_prefix:
             self._append_level(b)
         for g in gen_tables:
-            self._add_gen(g, self._cover(g))
+            self._add_gen(g, 0, self._cover(g))
         self._recompute(0, len(self.base))
         self._complete()
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
+        self._level_gens.append([])
         self.transversals.append({point: self._ident})
         self.inv_transversals.append({point: kernels.PADDED_IDENTITY})
 
@@ -88,13 +97,12 @@ class StabilizerChain:
         self._append_level(min(x for x in range(self.degree) if g[x] != x))
         return len(self.base) - 1
 
-    def _add_gen(self, g: bytes, depth: int) -> None:
-        self.sgens.append(g + kernels.PADDED_IDENTITY[len(g):])
-        self.depths.append(depth)
-
-    def _gens_at(self, i: int) -> List[bytes]:
-        # the strong generators fixing base[:i] pointwise, in sgens order
-        return [g for g, d in zip(self.sgens, self.depths) if d >= i]
+    def _add_gen(self, g: bytes, lo: int, hi: int) -> None:
+        # g joins levels lo..hi; it must fix base[:hi] pointwise
+        padded = g + kernels.PADDED_IDENTITY[len(g):]
+        self.sgens.append(padded)
+        for gens in self._level_gens[lo:hi + 1]:
+            gens.append(padded)
 
     def _recompute(self, lo: int, hi: int) -> None:
         for i in range(lo, hi):
@@ -104,7 +112,7 @@ class StabilizerChain:
 
     def _rebuild_transversal(self, i: int) -> None:
         # u_y = s * u_x is u_x translated by s; its inverse is one maketrans
-        gens = self._gens_at(i)
+        gens = self._level_gens[i]
         b = self.base[i]
         ident = self._ident
         trans = {b: ident}
@@ -150,7 +158,7 @@ class StabilizerChain:
     def _check_level(self, i: int) -> Optional[int]:
         trans = self.transversals[i]
         inv_trans = self.inv_transversals[i]
-        gens = self._gens_at(i)
+        gens = self._level_gens[i]
         for x in sorted(trans):
             ux = trans[x]
             for s in gens:
@@ -164,7 +172,7 @@ class StabilizerChain:
                 if j == len(self.base):
                     self._append_level(
                         min(x2 for x2 in range(self.degree) if residue[x2] != x2))
-                self._add_gen(residue, j)
+                self._add_gen(residue, i + 1, j)
                 self._recompute(i + 1, j + 1)
                 return j
         return None
@@ -177,8 +185,11 @@ class StabilizerChain:
         return residue == self._ident
 
     def stabilizer_gens(self, k: int) -> List[bytes]:
-        """Strong generators fixing the first k base points pointwise."""
-        return [g[:self.degree] for g in self._gens_at(k)]
+        """Level k's strong generators, which generate the pointwise
+        stabilizer of the first k base points; [] past the last level."""
+        if k >= len(self._level_gens):
+            return []
+        return [g[:self.degree] for g in self._level_gens[k]]
 
     def random_element(self, rng: Random) -> bytes:
         elem = self._ident

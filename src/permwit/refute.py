@@ -10,6 +10,12 @@ a seeded randomized search draws generator sets biased toward the
 imprimitive groups any counterexample would have to live in, and feeds
 every transitive sample through the full witness clause checker.
 
+Each group within ENUMERATION_BUDGET is analysed once per run.  A sample
+whose order equals that of a group already analysed, and whose generators
+all lie in that group's stabilizer chain, is the same group and reuses its
+outcome, so a counterexample entry lists the generators of the first
+sample that produced its group.
+
 Reports are byte-for-byte deterministic given (p, q, samples, seed);
 elapsed time is reported separately, never inside the report.
 """
@@ -22,7 +28,7 @@ from random import Random
 from typing import Dict, List, Tuple
 
 from permwit.errors import BudgetExceeded, HypothesisError
-from permwit.group import ENUMERATION_BUDGET, PermGroup
+from permwit.group import ENUMERATION_BUDGET, PermGroup, StabilizerChain
 from permwit.numthy import is_prime
 from permwit.perm import MAX_DEGREE, Permutation, random_permutation
 from permwit.census import EXACT_LIMIT, census_report
@@ -144,23 +150,14 @@ def _draw_generators(p: int, q: int, rng: Random) -> List[Permutation]:
 
 @dataclass
 class _SampleOutcome:
-    transitive: bool = False
-    large: bool = False
-    small: bool = False
     pairs: int = 0
     counterexamples: List[dict] = field(default_factory=list)
 
 
-def _analyze_sample(gens: List[Permutation], degree: int) -> _SampleOutcome:
+def _analyze_sample(group: PermGroup) -> _SampleOutcome:
+    """Compare every (transitive, intransitive) pair of normal subgroups of
+    a transitive group within ENUMERATION_BUDGET."""
     outcome = _SampleOutcome()
-    group = PermGroup(gens, degree=degree)
-    if not group.is_transitive():
-        return outcome
-    outcome.transitive = True
-    if group.order_exceeds(ENUMERATION_BUDGET):
-        outcome.large = True
-        return outcome
-    outcome.small = True
     normals = group.all_normal_subgroups()
     transitive_subs, other_subs = [], []
     for sub in normals:
@@ -209,24 +206,29 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
 
     rng = Random(seed)
     degree = p * q
-    cache: Dict[Tuple[bytes, ...], _SampleOutcome] = {}
+    # order -> (chain, outcome) of each small transitive group analysed so
+    # far; a sample of equal order whose generators lie in a listed chain
+    # is that group
+    analysed: Dict[int, List[Tuple[StabilizerChain, _SampleOutcome]]] = {}
     for _ in range(samples):
         gens = _draw_generators(p, q, rng)
         report.samples_tested += 1
-        key = tuple(sorted(g.table for g in gens))
-        outcome = cache.get(key)
-        if outcome is None:
-            outcome = _analyze_sample(gens, degree)
-            cache[key] = outcome
-        if outcome.transitive:
-            report.transitive_found += 1
-        if outcome.large:
+        group = PermGroup(gens, degree=degree)
+        if not group.is_transitive():
+            continue
+        report.transitive_found += 1
+        if group.order_exceeds(ENUMERATION_BUDGET):
             report.skipped_large += 1
-        if outcome.small:
-            report.small_groups_tested += 1
+            continue
+        report.small_groups_tested += 1
+        same_order = analysed.setdefault(group.order(), [])
+        outcome = next((known for chain, known in same_order
+                        if all(chain.contains(g.table) for g in gens)), None)
+        if outcome is None:
+            outcome = _analyze_sample(group)
+            same_order.append((group.chain, outcome))
         report.pairs_tested += outcome.pairs
-        if outcome.counterexamples:
-            report.counterexamples_found += len(outcome.counterexamples)
-            report.counterexamples.extend(outcome.counterexamples)
+        report.counterexamples.extend(outcome.counterexamples)
+    report.counterexamples_found = len(report.counterexamples)
     report.elapsed = time.monotonic() - start
     return report

@@ -233,7 +233,7 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
         raise HypothesisError(
             f"embedding needs p < q prime; N2 gives p={p} blocks of size q={q}")
     if not is_normal(n1, g_group):
-        raise HypothesisError("N1 is not a transitive normal subgroup of G")
+        raise HypothesisError("N1 is not a normal subgroup of G")
     if not n1.is_transitive():
         raise HypothesisError("N1 is not transitive")
     if not is_normal(n2, g_group):

@@ -393,13 +393,50 @@ def test_chain_matches_element_closure(seed):
 
 @pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],
                          ids=["S7", "wreath_15", "S7_base_prefix"])
-def test_gens_at_matches_prefix_scan(build):
+def test_level_generators_generate_each_stabilizer(build):
+    # level k's generators fix base[:k] pointwise and generate a group whose
+    # order is the product of the transversal sizes from level k on
     chain = build()
-    assert len(chain.depths) == len(chain.sgens)
-    for i in range(len(chain.base) + 1):
-        prefix = chain.base[:i]
-        scan = [g for g in chain.sgens if all(g[b] == b for b in prefix)]
-        assert chain._gens_at(i) == scan
+    assert chain.stabilizer_gens(len(chain.base)) == []
+    for k in range(len(chain.base) + 1):
+        gens = chain.stabilizer_gens(k)
+        assert all(g[b] == b for g in gens for b in chain.base[:k])
+        expected = math.prod(len(t) for t in chain.transversals[k:])
+        if expected > 20000:  # the wreath's top levels, too large to list
+            continue
+        assert len(kernels.close_elements(chain.degree, gens, expected)) == expected
+
+
+def random_wreath_15(rng):
+    """2-3 elements of S5 wr S3.  The base entries come from D5 or S5, and
+    one entry is shared by all blocks or the three are independent, so the
+    orders range from a few dozen to |S5 wr S3|."""
+    pool = (PermGroup.from_cycles(5, "(1 2 3 4 5)", "(2 5)(3 4)").elements()
+            if rng.random() < 0.5 else None)
+
+    def entry():
+        return rng.choice(pool) if pool else random_permutation(5, rng)
+
+    gens = []
+    for _ in range(rng.randint(2, 3)):
+        base = (entry(),) * 3 if rng.random() < 0.5 else (entry(), entry(), entry())
+        gens.append(WreathElement(top=random_permutation(3, rng), base=base).as_permutation())
+    return gens
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_order_limit_abort_is_exact(seed):
+    rng = Random(seed)
+    if seed % 2:
+        degree, gens = 15, random_wreath_15(rng)
+    else:
+        degree = rng.randint(2, 8)
+        gens = [random_cycle(degree, rng) for _ in range(rng.randint(1, 3))]
+    order = PermGroup(gens, degree=degree).order()
+    for limit in (order - 1, order):
+        group = PermGroup(gens, degree=degree)
+        assert group.order_exceeds(limit) == (order > limit)
+        assert group.order() == order
 
 
 @pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],

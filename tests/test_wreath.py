@@ -194,6 +194,14 @@ class TestEmbedding:
         with pytest.raises(HypothesisError, match="differ"):
             embed(w.G, w.N1, small)
 
+    def test_transitive_n1_that_is_not_normal_rejected(self):
+        s6 = PermGroup.from_cycles(6, "(1 2)", "(1 2 3 4 5 6)")
+        c6 = PermGroup.from_cycles(6, "(1 2 3 4 5 6)")
+        n2 = PermGroup.from_cycles(6, "(1 2 3)(4 5 6)")  # 2 blocks of size 3
+        assert c6.is_transitive() and not is_normal(c6, s6)
+        with pytest.raises(HypothesisError, match=r"^N1 is not a normal subgroup of G$"):
+            embed(s6, c6, n2)
+
     def test_composite_block_count_rejected(self):
         w = construct_witness(8, 2)  # blocks of size 4: not prime
         with pytest.raises(HypothesisError, match="prime"):
