@@ -122,9 +122,7 @@ def _symmetric_elements(q: int) -> Tuple[bytes, ...]:
 
 
 def _conjugate_set(tables: Sequence[bytes], u: bytes) -> Fingerprint:
-    uinv = kernels.inverse(u)
-    return tuple(sorted(
-        kernels.compose(u, kernels.compose(t, uinv)) for t in tables))
+    return tuple(sorted(kernels.conjugate(t, u) for t in tables))
 
 
 def _coset_reps(xs: Iterable[bytes], h_elements: Sequence[bytes],
@@ -267,9 +265,7 @@ def _normalizer_tables(group: PermGroup, sq_elements: Sequence[bytes]) -> List[b
     gen_tables = [g.table for g in group.generators]
     out: List[bytes] = []
     for x in _coset_reps(sq_elements, elements, set()):
-        xinv = kernels.inverse(x)
-        if all(kernels.compose(x, kernels.compose(t, xinv)) in members
-               for t in gen_tables):
+        if all(kernels.conjugate(t, x) in members for t in gen_tables):
             out.extend(kernels.left_coset(x, elements))
     return sorted(out)
 
@@ -521,10 +517,9 @@ def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
                         "N_order": n_sub.order,
                     })
     cycle_table = standard_cycle(q).table
-    centralizer = [
-        x for x in sq_elements
-        if kernels.compose(x, cycle_table) == kernels.compose(cycle_table, x)
-    ]
+    # x commutes with the cycle c iff x c x^-1 = c
+    centralizer = [x for x in sq_elements
+                   if kernels.conjugate(cycle_table, x) == cycle_table]
     return ContainReport(q=q, groups_checked=checked,
                          containment_failures=failures,
                          centralizer_order=len(centralizer))

@@ -19,7 +19,12 @@ Conjugacy classes and the normal-subgroup lattice are enumerated exactly
 for groups of at most ENUMERATION_BUDGET elements.  The lattice works on
 the enumerated elements: a normal subgroup is a union of conjugacy
 classes, so it is keyed by the bitmask of its classes, closures run on
-element sets, and no stabilizer chain is built for any subgroup.
+element sets, and no stabilizer chain is built for any subgroup.  The
+normal closure of a class is the subgroup the class generates, grown by
+whole cosets, so no conjugation loop runs once the classes are known.
+Every element list comes from Dimino's method (`kernels.close_elements`,
+`kernels.extend_elements`), and every conjugate is a relabelling
+(`kernels.conjugate`) that needs no inverse.
 
 A PermGroup is immutable after construction; its chain, elements,
 conjugacy classes and normal-subgroup lattice are computed lazily and
@@ -51,12 +56,12 @@ class StabilizerChain:
     inverses of their representatives as 256-byte translation tables:
     `bytes.maketrans(rep, ident)`, whose first `degree` bytes are rep^-1.
     A sift step is then `table.translate(inv_rep)`, the product
-    rep^-1 * table.  Each strong generator is kept once in `sgens`, padded
-    to 256 bytes like the inverses; `stabilizer_gens` cuts them back to
-    `degree` bytes.  `stabilizer_gens(k)` lists level k's strong
-    generators, placed by the per-level rule of the module docstring; they
-    fix the first k base points and, once the chain is complete, generate
-    their pointwise stabilizer.
+    rep^-1 * table.  Each strong generator is padded once to 256 bytes,
+    like the inverses, and that one copy sits on every level list it
+    belongs to.  `stabilizer_gens(k)` lists level k's strong generators,
+    cut back to `degree` bytes and placed by the per-level rule of the
+    module docstring; they fix the first k base points and, once the chain
+    is complete, generate their pointwise stabilizer.
 
     `gen_tables` must be distinct non-identity tables, as in
     `PermGroup._tables`.  `base_prefix` forces the given 0-based points to head the base (used
@@ -71,8 +76,8 @@ class StabilizerChain:
         self._ident = bytes(range(degree))
         self._limit = order_limit
         self.base: List[int] = []
-        self.sgens: List[bytes] = []
-        # _level_gens[i] lists the strong generators of level i, in sgens order
+        # _level_gens[i] lists the strong generators of level i, in the order
+        # they were found
         self._level_gens: List[List[bytes]] = []
         self.transversals: List[Dict[int, bytes]] = []
         self.inv_transversals: List[Dict[int, bytes]] = []
@@ -100,7 +105,6 @@ class StabilizerChain:
     def _add_gen(self, g: bytes, lo: int, hi: int) -> None:
         # g joins levels lo..hi; it must fix base[:hi] pointwise
         padded = g + kernels.PADDED_IDENTITY[len(g):]
-        self.sgens.append(padded)
         for gens in self._level_gens[lo:hi + 1]:
             gens.append(padded)
 
@@ -359,9 +363,8 @@ class PermGroup:
         while changed:
             changed = False
             for g in self._tables:
-                ginv = kernels.inverse(g)
                 for h in list(current):
-                    c = kernels.compose(g, kernels.compose(h, ginv))
+                    c = kernels.conjugate(h, g)
                     if not chain.contains(c):
                         current.append(c)
                         chain = StabilizerChain(self._degree, current)
@@ -373,14 +376,12 @@ class PermGroup:
         """(representative, class size) pairs; reps are the lex-least class members."""
         tables = self.element_tables()
         if self._classes is None:
-            gen_tables = self._tables
-            inv_tables = [kernels.inverse(g) for g in gen_tables]
             class_of: Dict[bytes, int] = {}
             classes: List[Tuple[bytes, int]] = []
             for t in sorted(tables):
                 if t in class_of:
                     continue
-                cls = kernels.conjugacy_orbit(t, gen_tables, inv_tables)
+                cls = kernels.conjugacy_orbit(t, self._tables)
                 class_of.update(dict.fromkeys(cls, len(classes)))
                 classes.append((t, len(cls)))
             assert sum(size for _, size in classes) == len(tables)
@@ -389,7 +390,7 @@ class PermGroup:
         return [(Permutation._from_table(t), size) for t, size in self._classes]
 
     def all_normal_subgroups(self) -> Tuple["NormalSubgroup", ...]:
-        """Every normal subgroup, as the join-closure of class-rep normal closures.
+        """Every normal subgroup, as the join-closure of the classes' normal closures.
 
         A normal subgroup is a union of conjugacy classes, and it contains a
         class iff it contains the class representative, so the bitmask of
@@ -400,19 +401,23 @@ class PermGroup:
         known.  Subgroups are deduplicated by mask, and two shortcuts skip
         closures whose result is already registered:
 
-        - N_k, the normal closure of class k, equals N_j when <rep_k> meets
-          class j and N_j holds class k;
+        - N_k, the normal closure of class k, is the subgroup generated by
+          class k; it equals N_j when <rep_k> meets class j and N_j holds
+          class k;
         - the join of N_i and N_j has order |N_i| |N_j| / |N_i & N_j|, so a
           registered subgroup holding both with that order is the join; each
           union of two masks is joined at most once.
 
-        The registration order, and so every generator list, is that of
-        closing each class rep under conjugation by the group's generators
-        (as `normal_closure` does) and then joining registered subgroups
-        pairwise until nothing new appears.  No stabilizer chain is built
-        here: each entry's group builds its own lazily, when a caller needs
-        one.  The entries are computed once per group, sorted by order, and
-        every call returns the same cached tuple.
+        N_k is grown from <rep_k> by walking class k in sorted order: each
+        member outside the subgroup built so far becomes a generator and
+        extends it by whole cosets, as `group_from_elements` does, so N_k's
+        generator list is rep_k followed by the members that extended it.
+        The class closures are registered in class order, then the joins of
+        registered subgroups, taken pairwise until nothing new appears; a
+        join's generators are those of its two parts.  No stabilizer chain
+        is built here: each entry's group builds its own lazily, when a
+        caller needs one.  The entries are computed once per group, sorted
+        by order, and every call returns the same cached tuple.
         """
         if self._normals is not None:
             return self._normals
@@ -421,8 +426,9 @@ class PermGroup:
         reps = [rep.table for rep, _ in classes]
         sizes = [size for _, size in classes]
         class_of = self._class_of
-        gen_tables = self._tables
-        inv_tables = [kernels.inverse(g) for g in gen_tables]
+        class_members: List[List[bytes]] = [[] for _ in reps]
+        for t in sorted(class_of):
+            class_members[class_of[t]].append(t)
 
         def closure(gens: List[bytes]) -> Set[bytes]:
             return set(kernels.close_elements(self._degree, gens, total))
@@ -436,35 +442,29 @@ class PermGroup:
 
         closure_masks: Dict[int, int] = {}  # class index -> mask of its normal closure
 
-        def class_closure(seed: bytes) -> Tuple[Optional[List[bytes]], int]:
-            current = [seed]
-            elements = kernels.close_elements(self._degree, current, total)
+        def class_closure(k: int) -> Tuple[Optional[List[bytes]], int]:
+            gens = [reps[k]]
+            elements = kernels.close_elements(self._degree, gens, total)
             members = set(elements)
-            # y in <seed> puts N_j (j = class of y) inside N_seed; if N_j also
-            # holds seed's class, the two normal closures are equal
+            # y in <rep_k> puts N_j (j = class of y) inside N_k; if N_j also
+            # holds class k, the two normal closures are equal
             for y in members:
                 mask = closure_masks.get(class_of[y], 0)
-                if mask >> class_of[seed] & 1:
+                if mask >> k & 1:
                     return None, mask
-            changed = True
-            while changed:
-                changed = False
-                for g, ginv in zip(gen_tables, inv_tables):
-                    for h in list(current):
-                        c = kernels.compose(g, kernels.compose(h, ginv))
-                        if c not in members:
-                            current.append(c)
-                            elements = kernels.extend_elements(elements, current, total)
-                            members = set(elements)
-                            changed = True
-            return current, mask_of(members)
+            for t in class_members[k]:
+                if t not in members:
+                    gens.append(t)
+                    elements = kernels.extend_elements(elements, gens, total)
+                    members = set(elements)
+            return gens, mask_of(members)
 
         # mask -> generator tables, in registration order; the trivial
         # subgroup comes first, and its mask is bit 0, the identity's class
         # (the identity is the lex-least element)
         subs: Dict[int, List[bytes]] = {1: []}
-        for k, rep in enumerate(reps):
-            gens, mask = class_closure(rep)
+        for k in range(len(reps)):
+            gens, mask = class_closure(k)
             closure_masks[k] = mask
             if gens is not None:
                 subs.setdefault(mask, gens)

@@ -10,11 +10,17 @@ Generator tables are padded once per closure loop.  The inverse of a
 table a is `bytes.maketrans(a, ident)`, which is already padded this way,
 so it is one C call.
 
-`close_elements` closes a generating set from the identity by breadth-first
-search.  `extend_elements` grows a group from a subgroup H whose elements
-are already known (Dimino's method): the new group is a disjoint union of
-left cosets y*H, so only one representative per coset is multiplied by the
-generators, and each new coset is added whole.
+Conjugation needs no inverse: g h g^-1 is h relabelled by g, the map
+g[x] -> g[h[x]], which is one `bytes.maketrans` from g to h translated by
+g (`conjugate`).
+
+There is one closure algorithm, Dimino's method (Holt, Eick and O'Brien,
+*Handbook of Computational Group Theory*, 2005).  `extend_elements` grows
+a group from a subgroup H whose elements are already known: the new group
+is a disjoint union of left cosets y*H, so only one representative per
+coset is multiplied by the generators, and each new coset is added whole.
+`close_elements` lists the cyclic group of the first generator and
+extends it.
 """
 
 from __future__ import annotations
@@ -56,28 +62,30 @@ def orbit(start: int, gens: Sequence[bytes]) -> Set[int]:
     return seen
 
 
-def close_elements(degree: int, gens: Iterable[bytes], limit: int) -> Optional[List[bytes]]:
-    """All elements of the group generated by `gens`, in BFS order.
+def conjugate(h: bytes, g: bytes) -> bytes:
+    """Table of g h g^-1: h relabelled by g, sending g[x] to g[h[x]]."""
+    return bytes.maketrans(g, h.translate(_padded(g)))[:len(h)]
 
-    Starts from the identity and left-multiplies by generators in order.
-    Returns None as soon as more than `limit` elements appear.
+
+def close_elements(degree: int, gens: Iterable[bytes], limit: int) -> Optional[List[bytes]]:
+    """All elements of the group generated by `gens`, identity first.
+
+    Lists the cyclic group of the first generator by repeated products,
+    then extends it by the generators (`extend_elements`).  Returns None as
+    soon as more than `limit` elements would appear.
     """
-    padded = [_padded(g) for g in gens]
+    gens = list(gens)
     ident = bytes(range(degree))
-    seen = {ident}
-    order = [ident]
-    head = 0
-    while head < len(order):
-        x = order[head]
-        head += 1
-        for g in padded:
-            y = x.translate(g)
-            if y not in seen:
-                if len(order) >= limit:
-                    return None
-                seen.add(y)
-                order.append(y)
-    return order
+    cyclic = [ident]
+    if gens:
+        step = _padded(gens[0])
+        x = gens[0]
+        while x != ident:
+            if len(cyclic) >= limit:
+                return None
+            cyclic.append(x)
+            x = x.translate(step)
+    return extend_elements(cyclic, gens, limit)
 
 
 def left_coset(y: bytes, elements: Sequence[bytes]) -> List[bytes]:
@@ -118,16 +126,17 @@ def extend_elements(subgroup: Sequence[bytes], gens: Iterable[bytes],
     return elements
 
 
-def conjugacy_orbit(x: bytes, gens: Sequence[bytes], invs: Sequence[bytes]) -> Set[bytes]:
-    """Closure of x under conjugation by the given generator/inverse pairs."""
-    padded = [(_padded(g), inv) for g, inv in zip(gens, invs)]
-    tail = PADDED_IDENTITY[len(x):]
+def conjugacy_orbit(x: bytes, gens: Sequence[bytes]) -> Set[bytes]:
+    """Closure of x under conjugation by the generators.  Each step is the
+    relabelling of `conjugate`, inline, on generators padded once per call."""
+    padded = [(g, _padded(g)) for g in gens]
+    n = len(x)
     seen = {x}
     stack = [x]
     while stack:
         e = stack.pop()
-        for g, inv in padded:
-            y = inv.translate(e.translate(g) + tail)
+        for g, pg in padded:
+            y = bytes.maketrans(g, e.translate(pg))[:n]
             if y not in seen:
                 seen.add(y)
                 stack.append(y)

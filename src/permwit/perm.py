@@ -102,8 +102,7 @@ class Permutation:
         """Conjugate of self by h: returns h * self * h^-1."""
         if h.degree != self.degree:
             raise DegreeMismatch(f"degree mismatch: {self.degree} vs {h.degree}")
-        t = kernels.compose(h._table, kernels.compose(self._table, kernels.inverse(h._table)))
-        return Permutation._from_table(t)
+        return Permutation._from_table(kernels.conjugate(self._table, h._table))
 
     def is_identity(self) -> bool:
         return self._table == bytes(range(self.degree))

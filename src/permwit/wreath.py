@@ -14,6 +14,7 @@ peeling order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -272,39 +273,20 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
                      conditions=conditions)
 
 
-def _block_points(i: int, q: int) -> List[int]:
-    """1-based points of standard block i."""
-    return list(range((i - 1) * q + 1, i * q + 1))
-
-
-def block_restriction(g: Permutation, i: int, q: int) -> Permutation:
-    """Restriction of a block-fixing degree-pq permutation to block i."""
-    t = g.table
-    lo = (i - 1) * q
-    block = bytearray(q)
-    for j0 in range(q):
-        image = t[lo + j0]
-        if not lo <= image < lo + q:
-            raise BlockStructureError(
-                f"permutation moves point {lo + j0 + 1} out of block {i}")
-        block[j0] = image - lo
-    return Permutation._from_table(bytes(block))
-
-
-def _check_block_diagonal(group: PermGroup, q: int) -> int:
+def _block_parts(group: PermGroup, q: int) -> List[WreathElement]:
+    """The generators of a group that fixes every standard size-q block
+    setwise, decoded; BlockStructureError for any other group.  The
+    projection to block i is generated by `w.base[i - 1]` over the parts."""
     if group.degree % q != 0:
         raise BlockStructureError(
             f"degree {group.degree} is not a multiple of the block size {q}")
-    nblocks = group.degree // q
-    for g in group.generators:
-        for i in range(1, nblocks + 1):
-            block_restriction(g, i, q)  # raises if g crosses blocks
-    return nblocks
-
-
-def _projection_group(group: PermGroup, i: int, q: int) -> PermGroup:
-    return PermGroup([block_restriction(g, i, q) for g in group.generators],
-                     degree=q)
+    parts = [WreathElement.from_permutation(g, group.degree // q, q)
+             for g in group.generators]
+    for g, w in zip(group.generators, parts):
+        if not w.top.is_identity():
+            raise BlockStructureError(
+                f"generator {g.cycle_string()} moves a block")
+    return parts
 
 
 @dataclass
@@ -321,10 +303,7 @@ class IndexDecomposition:
 
     @property
     def product(self) -> int:
-        out = 1
-        for f in self.factors:
-            out *= f.index
-        return out
+        return math.prod(f.index for f in self.factors)
 
 
 def decompose_index(a_group: PermGroup, b_group: PermGroup, q: int) -> IndexDecomposition:
@@ -335,30 +314,26 @@ def decompose_index(a_group: PermGroup, b_group: PermGroup, q: int) -> IndexDeco
     the recursion continues on the pointwise stabilizers of that block.
     The factor product always equals [A:B].
     """
-    nblocks = _check_block_diagonal(a_group, q)
-    _check_block_diagonal(b_group, q)
+    parts_a = _block_parts(a_group, q)
+    parts_b = _block_parts(b_group, q)
     if not is_normal(b_group, a_group):
         raise HypothesisError("B is not normal in A")
     total = a_group.order() // b_group.order()
 
     factors: List[IndexFactor] = []
     cur_a, cur_b = a_group, b_group
-    for i in range(nblocks, 1, -1):
-        proj_a = _projection_group(cur_a, i, q)
-        proj_b = _projection_group(cur_b, i, q)
+    for i in range(a_group.degree // q, 0, -1):
+        proj_a = PermGroup([w.base[i - 1] for w in parts_a], degree=q)
+        proj_b = PermGroup([w.base[i - 1] for w in parts_b], degree=q)
         factors.append(IndexFactor(
             block=i,
             subgroup_generators=proj_b.generators,
             index=proj_a.order() // proj_b.order()))
-        points = _block_points(i, q)
-        cur_a = cur_a.pointwise_stabilizer(points)
-        cur_b = cur_b.pointwise_stabilizer(points)
-    proj_a = _projection_group(cur_a, 1, q)
-    proj_b = _projection_group(cur_b, 1, q)
-    factors.append(IndexFactor(
-        block=1,
-        subgroup_generators=proj_b.generators,
-        index=proj_a.order() // proj_b.order()))
+        if i > 1:
+            points = range((i - 1) * q + 1, i * q + 1)
+            cur_a = cur_a.pointwise_stabilizer(points)
+            cur_b = cur_b.pointwise_stabilizer(points)
+            parts_a, parts_b = _block_parts(cur_a, q), _block_parts(cur_b, q)
 
     decomposition = IndexDecomposition(factors=tuple(factors), total_index=total)
     if decomposition.product != total:
@@ -378,10 +353,6 @@ class Index2Report:
     decomposition: IndexDecomposition
 
     @property
-    def vacuous(self) -> bool:
-        return not self.p_divides
-
-    @property
     def passed(self) -> bool:
         return (not self.p_divides) or self.q_divides
 
@@ -395,9 +366,9 @@ def check_index2(a_group: PermGroup, b_group: PermGroup, p: int, q: int) -> Inde
     if (q - 1) % p == 0:
         raise HypothesisError(f"{p} divides {q}-1; the divisibility claim "
                               f"does not apply")
-    nblocks = _check_block_diagonal(a_group, q)
-    for i in range(1, nblocks + 1):
-        if not _projection_group(a_group, i, q).is_transitive():
+    parts = _block_parts(a_group, q)
+    for i in range(1, a_group.degree // q + 1):
+        if not PermGroup([w.base[i - 1] for w in parts], degree=q).is_transitive():
             raise HypothesisError(
                 f"projection of A to block {i} is not transitive")
     decomposition = decompose_index(a_group, b_group, q)

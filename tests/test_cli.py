@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +196,26 @@ class TestRefuteCommand:
         assert code1 == code2 == 0
         assert out1 == out2
         assert "elapsed" not in out1  # timing goes to stderr only
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "5"),
+        ("refute", "3", "5", "--samples", "300", "--seed", "2"),
+    ], ids=["census_5", "refute_3_5"])
+    def test_output_is_independent_of_the_hash_seed(self, argv):
+        # set and dict iteration order changes with PYTHONHASHSEED, which
+        # only a fresh interpreter picks up
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        outs = []
+        for seed in ("0", "987654"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH")) if p))
+            done = subprocess.run([sys.executable, "-m", "permwit.cli", *argv],
+                                  env=env, capture_output=True, text=True,
+                                  timeout=300)
+            assert done.returncode == 0, done.stderr
+            outs.append(done.stdout)
+        assert outs[0] == outs[1] and outs[0]
 
     def test_negative_samples_is_input_error(self, capsys):
         code, payload, err = run_cli(

@@ -443,8 +443,9 @@ def test_order_limit_abort_is_exact(seed):
                          ids=["S7", "wreath_15", "S7_base_prefix"])
 def test_strong_generators_are_padded_and_cut_back(build):
     chain = build()
-    assert chain.sgens
-    assert all(len(g) == 256 for g in chain.sgens)
+    strong = [g for level in chain._level_gens for g in level]
+    assert strong
+    assert all(len(g) == 256 for g in strong)
     for k in range(len(chain.base) + 1):
         gens = chain.stabilizer_gens(k)
         assert all(len(g) == chain.degree for g in gens)
@@ -462,7 +463,7 @@ def test_identity_and_repeated_generators_change_nothing(cycles):
     a, b = plain.generators
     padded = PermGroup([ident, a, ident, b, a, b], degree=degree)
     assert padded.chain.base == plain.chain.base
-    assert padded.chain.sgens == plain.chain.sgens
+    assert padded.chain._level_gens == plain.chain._level_gens
     assert padded.orbits() == plain.orbits()
     assert padded.element_tables() == plain.element_tables()
     assert ([e.order for e in padded.all_normal_subgroups()]

@@ -6,6 +6,7 @@ import pytest
 
 from permwit import kernels
 from permwit.perm import Permutation
+from permwit.wreath import WreathElement
 
 KERNEL_NAMES = ("compose", "inverse", "orbit", "close_elements", "conjugacy_orbit")
 
@@ -49,6 +50,9 @@ def test_inverse_matches_loop_definition(degree):
         inv = kernels.inverse(a)
         assert inv == _loop_inverse(a)
         assert kernels.compose(a, inv) == kernels.compose(inv, a) == bytes(range(degree))
+        for g in tables:
+            assert kernels.conjugate(a, g) == kernels.compose(
+                g, kernels.compose(a, kernels.inverse(g)))
 
 
 def test_close_elements_trivial_group():
@@ -110,3 +114,47 @@ def test_left_coset_is_left_multiplication():
     degree, subgroup, gens = _extension_cases()["c5_by_transposition"]
     y = gens[1]
     assert kernels.left_coset(y, subgroup) == [kernels.compose(y, h) for h in subgroup]
+
+
+def _bfs_close(degree, gens):
+    """Reference oracle: breadth-first search from the identity, left
+    multiplying by every generator, with no limit."""
+    ident = bytes(range(degree))
+    seen = {ident}
+    order = [ident]
+    for x in order:  # `order` grows while it is read
+        for g in gens:
+            y = kernels.compose(g, x)
+            if y not in seen:
+                seen.add(y)
+                order.append(y)
+    return order
+
+
+def _closure_cases():
+    # D5 wr C3 at degree 15, of order 10^3 * 3
+    ident5 = Permutation.identity(5)
+    wreath = [WreathElement(top=Permutation.from_cycles("(1 2 3)", 3),
+                            base=(Permutation.from_cycles("(1 2 3 4 5)", 5), ident5, ident5)),
+              WreathElement(top=Permutation.identity(3),
+                            base=(Permutation.from_cycles("(2 5)(3 4)", 5), ident5, ident5))]
+    wreath = [w.as_permutation().table for w in wreath]
+    return {
+        "trivial": (5, []),
+        "c7": (7, [_table("(1 2 3 4 5 6 7)", 7)]),
+        "s4": (4, [_table("(1 2 3 4)", 4), _table("(1 2)", 4)]),
+        "f21_in_s7": (7, [_table("(1 2 3 4 5 6 7)", 7), _table("(2 3 5)(4 7 6)", 7)]),
+        "s7": (7, [_table("(1 2 3 4 5 6 7)", 7), _table("(1 2)", 7)]),
+        "wreath_15": (15, wreath),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_closure_cases()))
+def test_close_elements_matches_breadth_first_oracle(case):
+    degree, gens = _closure_cases()[case]
+    want = _bfs_close(degree, gens)
+    got = kernels.close_elements(degree, gens, len(want))
+    assert got[0] == bytes(range(degree))
+    assert len(got) == len(set(got)) == len(want)
+    assert set(got) == set(want)
+    assert kernels.close_elements(degree, gens, len(want) - 1) is None
