@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
@@ -324,7 +324,7 @@ class WielandtReport:
     order: int
     applicable: bool
     normalizer_order: Optional[int] = None
-    index: Optional[int] = None
+    normalizer_index: Optional[int] = None
     index_divides_q_minus_1: Optional[bool] = None
     quotient_cyclic: Optional[bool] = None
 
@@ -335,15 +335,7 @@ class WielandtReport:
         return bool(self.index_divides_q_minus_1 and self.quotient_cyclic)
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "applicable": self.applicable,
-            "normalizer_order": self.normalizer_order,
-            "normalizer_index": self.index,
-            "index_divides_q_minus_1": self.index_divides_q_minus_1,
-            "quotient_cyclic": self.quotient_cyclic,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_wielandt(entry: CensusEntry) -> WielandtReport:
@@ -360,7 +352,7 @@ def verify_wielandt(entry: CensusEntry) -> WielandtReport:
         order=entry.order,
         applicable=True,
         normalizer_order=n_order,
-        index=index,
+        normalizer_index=index,
         index_divides_q_minus_1=(entry.q - 1) % index == 0,
         quotient_cyclic=is_cyclic(table),
     )
@@ -379,13 +371,7 @@ class BurnsideReport:
             self.doubly_transitive and self.simple_normal_order is not None)
 
     def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "in_affine": self.in_affine,
-            "doubly_transitive": self.doubly_transitive,
-            "simple_normal_order": self.simple_normal_order,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def _simple_transitive_normals(entry: CensusEntry) -> List[NormalSubgroup]:
@@ -427,14 +413,7 @@ class LemmaPqReport:
         return not self.violations and not self.strong_violations
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "p": self.p,
-            "pairs_checked": self.pairs_checked,
-            "violations": self.violations,
-            "strong_violations": self.strong_violations,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 def verify_lemma_pq(q: int, p: int, entries: List[CensusEntry]) -> LemmaPqReport:
@@ -470,27 +449,21 @@ def verify_lemma_pq(q: int, p: int, entries: List[CensusEntry]) -> LemmaPqReport
 @dataclass
 class ContainReport:
     q: int
-    groups_checked: int
+    groups_with_simple_transitive_normal: int
     containment_failures: List[dict]
-    centralizer_order: int
+    centralizer_of_cycle_order: int
 
     @property
     def centralizer_ok(self) -> bool:
-        return self.centralizer_order == self.q
+        return self.centralizer_of_cycle_order == self.q
 
     @property
     def passed(self) -> bool:
         return not self.containment_failures and self.centralizer_ok
 
     def to_json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "groups_with_simple_transitive_normal": self.groups_checked,
-            "containment_failures": self.containment_failures,
-            "centralizer_of_cycle_order": self.centralizer_order,
-            "centralizer_ok": self.centralizer_ok,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "centralizer_ok": self.centralizer_ok,
+                "passed": self.passed}
 
 
 def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
@@ -520,9 +493,9 @@ def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
     # x commutes with the cycle c iff x c x^-1 = c
     centralizer = [x for x in sq_elements
                    if kernels.conjugate(cycle_table, x) == cycle_table]
-    return ContainReport(q=q, groups_checked=checked,
+    return ContainReport(q=q, groups_with_simple_transitive_normal=checked,
                          containment_failures=failures,
-                         centralizer_order=len(centralizer))
+                         centralizer_of_cycle_order=len(centralizer))
 
 
 def applicable_primes(q: int) -> List[int]:

@@ -67,13 +67,6 @@ class CayleyTable:
                 if any(row_xs[y] != row_x[row_s[y]] for y in range(m)):
                     raise PermwitError("Cayley table is not associative")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "reps": [r.cycle_string() for r in self.reps],
-            "table": [list(row) for row in self.table],
-        }
-
 
 def quotient(g_group: PermGroup, n_group: PermGroup) -> CayleyTable:
     """The factor group G/N as a Cayley table on coset representatives.

@@ -17,7 +17,7 @@ element).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional
 
 from permwit.errors import DegreeMismatch, HypothesisError, PermwitError
@@ -42,13 +42,7 @@ class VerificationReport:
         return all(c.ok for c in self.clauses.values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "clauses": {
-                key: {"ok": c.ok, "detail": c.detail}
-                for key, c in sorted(self.clauses.items())
-            },
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass

@@ -15,7 +15,7 @@ peeling order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Tuple
 
 from permwit.errors import (
@@ -143,7 +143,7 @@ class BlockSystem:
         return Permutation._from_table(bytes(table))
 
     def to_json_dict(self) -> dict:
-        return {"degree": self.degree, "blocks": [list(b) for b in self.blocks]}
+        return asdict(self)
 
 
 def blocks_from_orbits(n2: PermGroup) -> BlockSystem:
@@ -204,12 +204,7 @@ class Embedding:
                 {"generator": g.cycle_string(), "image": w.text()}
                 for g, w in self.image_map
             ],
-            "conditions": {
-                "n1_transitive_on_pairs": self.conditions.n1_transitive_on_pairs,
-                "n2_in_top_kernel": self.conditions.n2_in_top_kernel,
-                "n2_projections_transitive":
-                    list(self.conditions.n2_projections_transitive),
-            },
+            "conditions": asdict(self.conditions),
         }
 
 

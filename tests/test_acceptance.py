@@ -97,7 +97,7 @@ def test_criterion_3_lemma_chain_zero_violations(census5, census7):
         ok &= all(verify_wielandt(e).passed for e in entries)
         ok &= all(verify_burnside(e).passed for e in entries)
         contain = verify_contain(q, entries)
-        ok &= contain.passed and contain.centralizer_order == q
+        ok &= contain.passed and contain.centralizer_of_cycle_order == q
     sweep53 = verify_lemma_pq(5, 3, census5)
     sweep75 = verify_lemma_pq(7, 5, census7)
     ok &= sweep53.passed and not sweep53.violations

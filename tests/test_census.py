@@ -101,17 +101,17 @@ class TestCensusCounts:
 class TestWielandt:
     def test_c5(self, census5):
         r = verify_wielandt(census5[0])
-        assert r.applicable and r.normalizer_order == 20 and r.index == 4
+        assert r.applicable and r.normalizer_order == 20 and r.normalizer_index == 4
         assert r.index_divides_q_minus_1 and r.quotient_cyclic and r.passed
 
     def test_a5(self, census5):
         r = verify_wielandt(next(e for e in census5 if e.order == 60))
-        assert r.normalizer_order == 120 and r.index == 2 and r.passed
+        assert r.normalizer_order == 120 and r.normalizer_index == 2 and r.passed
 
     def test_psl32(self, census7):
         r = verify_wielandt(next(e for e in census7 if e.order == 168))
-        assert r.applicable and r.index in (1, 2)
-        assert (7 - 1) % r.index == 0 and r.passed
+        assert r.applicable and r.normalizer_index in (1, 2)
+        assert (7 - 1) % r.normalizer_index == 0 and r.passed
 
     def test_not_applicable_for_nonsimple(self, census5):
         r = verify_wielandt(next(e for e in census5 if e.order == 20))
@@ -173,12 +173,12 @@ class TestContainment:
     def test_q5(self, census5):
         r = verify_contain(5, census5)
         assert r.passed
-        assert r.centralizer_order == 5
-        assert r.groups_checked == 5
+        assert r.centralizer_of_cycle_order == 5
+        assert r.groups_with_simple_transitive_normal == 5
 
     def test_q7(self, census7):
         r = verify_contain(7, census7)
-        assert r.passed and r.centralizer_order == 7
+        assert r.passed and r.centralizer_of_cycle_order == 7
 
     def test_s5_normals_contain_a5(self, census5):
         s5 = next(e for e in census5 if e.order == 120)

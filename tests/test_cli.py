@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -182,6 +183,7 @@ class TestRefuteCommand:
         assert payload["seed"] == 1
         assert all(payload["census_verdicts"].values())
         assert "consistent" in err
+        assert re.search(r" in \d+\.\ds$", err.strip())
 
     def test_hypothesis_error_points_to_witness(self, capsys):
         code, _, err = run_cli(capsys, "refute", "2", "5")
@@ -321,11 +323,32 @@ GOLDEN = {
     "witness 21": (0, "ba4804d870682e0be9b6208ea2f2840ab9de719384d859782d6fead629982286"),
     "witness 100": (0, "415705a57d393989365d77ee07a65cc6c341f4467e5ce49abc7ddefe8d2e2167"),
     "witness 255": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    "verify w21.grp":
+        (0, "fe6b88e7cde0009d6f77a19d1a880a3e2593cd56f787ab9c305a25c2f2875f4c"),
+    "verify w21_n2_is_n1.grp":
+        (1, "0f0cddde2a01031b94e5114a9474ad466699dbd8f361ef893f522752f509e4b1"),
+    "embed w21.grp":
+        (0, "82d4270fdba022fb3b192bf25823e7a1a0a7f3bb4d6dbf76cc44b1079465bed6"),
+}
+
+
+# the group files that verify and embed read: the degree-21 witness triple,
+# and that triple with N2 = N1 (clause c fails, clause d is not evaluated).
+# Each is written under a fixed name relative to the working directory, so
+# the "file" key the report echoes is the same in every run.
+GOLDEN_FILES = {
+    "w21.grp": lambda w: [w.G, w.N1, w.N2],
+    "w21_n2_is_n1.grp": lambda w: [w.G, w.N1, w.N1],
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN))
-def test_golden_output(capsys, command):
+def test_golden_output(capsys, monkeypatch, tmp_path, command):
+    name = command.split()[-1]
+    if name in GOLDEN_FILES:
+        monkeypatch.chdir(tmp_path)
+        groups = GOLDEN_FILES[name](construct_witness(21, 3))
+        Path(name).write_text(format_groups(groups))
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]

@@ -115,12 +115,6 @@ class TestQuotient:
                     ab = kernels.compose(reps[a], reps[b])
                     assert owners[ab] == [t.table[a][b]]
 
-    def test_json_dump_shape(self):
-        d = quotient(s5(), a5()).to_json_dict()
-        assert d["order"] == 2
-        assert d["reps"][0] == "()"
-        assert d["table"] == [[0, 1], [1, 0]]
-
 
 class TestOrderHistogram:
     def test_cyclic_three(self):
