@@ -16,15 +16,19 @@ inverses, like the strong generators (one padded copy of each), are kept as
 Python-level kernel.
 
 Conjugacy classes and the normal-subgroup lattice are enumerated exactly
-for groups of at most ENUMERATION_BUDGET elements.  The lattice works on
-the enumerated elements: a normal subgroup is a union of conjugacy
-classes, so it is keyed by the bitmask of its classes, closures run on
-element sets, and no stabilizer chain is built for any subgroup.  The
-normal closure of a class is the subgroup the class generates, grown by
-whole cosets, so no conjugation loop runs once the classes are known.
-Every element list comes from Dimino's method (`kernels.close_elements`,
-`kernels.extend_elements`), and every conjugate is a relabelling
-(`kernels.conjugate`) that needs no inverse.
+for groups of at most ENUMERATION_BUDGET elements; each class is kept as
+its sorted member list.  The lattice works on the enumerated elements: a
+normal subgroup is a union of conjugacy classes, so it is keyed by the
+bitmask of its classes, closures run on element sets, and no stabilizer
+chain is built for any subgroup.  The normal closure of a class is the
+subgroup the class generates, grown by whole cosets, so no conjugation
+loop runs once the classes are known.  Every normal subgroup is the join
+of the class closures it contains, so one pass that joins each subgroup
+found with each class closure finds them all.  `group_from_elements`
+grows a group by the same coset walk and checks that the given tables are
+exactly that group.  Every element list comes from Dimino's method
+(`kernels.close_elements`, `kernels.extend_elements`), and every
+conjugate is a relabelling (`kernels.conjugate`) that needs no inverse.
 
 A PermGroup is immutable after construction; its chain, elements,
 conjugacy classes and normal-subgroup lattice are computed lazily and
@@ -170,12 +174,10 @@ class StabilizerChain:
                 sg = ux.translate(s).translate(inv_trans[s[x]])
                 if sg == self._ident:
                     continue
-                residue, j = self._sift_from(i + 1, sg)
+                residue, _ = self._sift_from(i + 1, sg)
                 if residue == self._ident:
                     continue
-                if j == len(self.base):
-                    self._append_level(
-                        min(x2 for x2 in range(self.degree) if residue[x2] != x2))
+                j = self._cover(residue)  # where it stopped sifting, or a new level
                 self._add_gen(residue, i + 1, j)
                 self._recompute(i + 1, j + 1)
                 return j
@@ -226,9 +228,9 @@ class PermGroup:
         self._tables = tuple(t for t in dict.fromkeys(g.table for g in gens) if t != ident)
         self._chain: Optional[StabilizerChain] = None
         self._elements: Optional[List[bytes]] = None
-        # conjugacy classes as (lex-least member, size), and each element's
-        # index in that list
-        self._classes: Optional[List[Tuple[bytes, int]]] = None
+        # conjugacy classes as sorted member lists, ordered by least member,
+        # and each element's index in that list
+        self._classes: Optional[List[List[bytes]]] = None
         self._class_of: Optional[Dict[bytes, int]] = None
         self._normals: Optional[Tuple[NormalSubgroup, ...]] = None
 
@@ -373,24 +375,26 @@ class PermGroup:
                          degree=self._degree)
 
     def conjugacy_classes(self) -> List[Tuple[Permutation, int]]:
-        """(representative, class size) pairs; reps are the lex-least class members."""
+        """(representative, class size) pairs; each class is cached as its
+        sorted member list, whose first member is the representative."""
         tables = self.element_tables()
         if self._classes is None:
             class_of: Dict[bytes, int] = {}
-            classes: List[Tuple[bytes, int]] = []
+            classes: List[List[bytes]] = []
             for t in sorted(tables):
                 if t in class_of:
                     continue
                 cls = kernels.conjugacy_orbit(t, self._tables)
                 class_of.update(dict.fromkeys(cls, len(classes)))
-                classes.append((t, len(cls)))
-            assert sum(size for _, size in classes) == len(tables)
+                classes.append(sorted(cls))
+            assert sum(map(len, classes)) == len(tables)
             self._classes = classes
             self._class_of = class_of
-        return [(Permutation._from_table(t), size) for t, size in self._classes]
+        return [(Permutation._from_table(members[0]), len(members))
+                for members in self._classes]
 
     def all_normal_subgroups(self) -> Tuple["NormalSubgroup", ...]:
-        """Every normal subgroup, as the join-closure of the classes' normal closures.
+        """Every normal subgroup, as a join of the classes' normal closures.
 
         A normal subgroup is a union of conjugacy classes, and it contains a
         class iff it contains the class representative, so the bitmask of
@@ -408,90 +412,76 @@ class PermGroup:
           registered subgroup holding both with that order is the join; each
           union of two masks is joined at most once.
 
-        N_k is grown from <rep_k> by walking class k in sorted order: each
-        member outside the subgroup built so far becomes a generator and
-        extends it by whole cosets, as `group_from_elements` does, so N_k's
-        generator list is rep_k followed by the members that extended it.
-        The class closures are registered in class order, then the joins of
-        registered subgroups, taken pairwise until nothing new appears; a
-        join's generators are those of its two parts.  No stabilizer chain
-        is built here: each entry's group builds its own lazily, when a
-        caller needs one.  The entries are computed once per group, sorted
-        by order, and every call returns the same cached tuple.
+        N_k is grown from <rep_k> over class k's sorted members (`_grow`),
+        so its generators are rep_k and the members that extended it.  The
+        class closures (the atoms) are registered in class order.  Every
+        normal subgroup is the join of the atoms it contains, and a join
+        depends only on the union of the masks, so joining each registered
+        subgroup, in registration order, with each atom registers every
+        join of atoms, hence every normal subgroup; a join's generators are
+        those of its two parts.  No stabilizer chain is built here: each
+        entry's group builds its own lazily, when a caller needs one.  The
+        entries are computed once per group, sorted by order, and every call
+        returns the same cached tuple.
         """
         if self._normals is not None:
             return self._normals
         total = len(self.element_tables())
-        classes = self.conjugacy_classes()
-        reps = [rep.table for rep, _ in classes]
-        sizes = [size for _, size in classes]
+        self.conjugacy_classes()
+        classes = self._classes
         class_of = self._class_of
-        class_members: List[List[bytes]] = [[] for _ in reps]
-        for t in sorted(class_of):
-            class_members[class_of[t]].append(t)
+        reps = [members[0] for members in classes]
 
-        def closure(gens: List[bytes]) -> Set[bytes]:
-            return set(kernels.close_elements(self._degree, gens, total))
-
-        def mask_of(members: Set[bytes]) -> int:
+        def mask_of(elements: List[bytes]) -> int:
             # only for normal subgroups, which are unions of classes
+            members = set(elements)
             return sum(1 << i for i, rep in enumerate(reps) if rep in members)
 
         def order_of(mask: int) -> int:
-            return sum(size for i, size in enumerate(sizes) if mask >> i & 1)
+            return sum(len(members) for i, members in enumerate(classes) if mask >> i & 1)
 
         closure_masks: Dict[int, int] = {}  # class index -> mask of its normal closure
 
         def class_closure(k: int) -> Tuple[Optional[List[bytes]], int]:
             gens = [reps[k]]
             elements = kernels.close_elements(self._degree, gens, total)
-            members = set(elements)
             # y in <rep_k> puts N_j (j = class of y) inside N_k; if N_j also
             # holds class k, the two normal closures are equal
-            for y in members:
+            for y in elements:
                 mask = closure_masks.get(class_of[y], 0)
                 if mask >> k & 1:
                     return None, mask
-            for t in class_members[k]:
-                if t not in members:
-                    gens.append(t)
-                    elements = kernels.extend_elements(elements, gens, total)
-                    members = set(elements)
-            return gens, mask_of(members)
+            return gens, mask_of(_grow(elements, gens, classes[k], total))
 
         # mask -> generator tables, in registration order; the trivial
         # subgroup comes first, and its mask is bit 0, the identity's class
         # (the identity is the lex-least element)
         subs: Dict[int, List[bytes]] = {1: []}
-        for k in range(len(reps)):
+        for k in range(len(classes)):
             gens, mask = class_closure(k)
             closure_masks[k] = mask
             if gens is not None:
                 subs.setdefault(mask, gens)
+        atoms = list(subs.items())[1:]  # the class closures, without the trivial subgroup
         orders = {mask: order_of(mask) for mask in subs}
         joined: Set[int] = set()
-        changed = True
-        while changed:
-            changed = False
-            snapshot = list(subs.items())
-            for i, (mask_i, gens_i) in enumerate(snapshot):
-                for mask_j, gens_j in snapshot[i + 1:]:
-                    union = mask_i | mask_j
-                    if union in joined:
-                        continue
-                    joined.add(union)
-                    order = orders[mask_i] * orders[mask_j] // order_of(mask_i & mask_j)
-                    if any(m & union == union and orders[m] == order for m in orders):
-                        continue
-                    gens = list(gens_i)
-                    for g in gens_j:
-                        if g not in gens:
-                            gens.append(g)
-                    mask = mask_of(closure(gens))
-                    assert mask not in subs and order_of(mask) == order
-                    subs[mask] = gens
-                    orders[mask] = order
-                    changed = True
+        work = list(subs)
+        for mask_i in work:
+            gens_i = subs[mask_i]
+            for mask_j, gens_j in atoms:
+                union = mask_i | mask_j
+                if union in joined:
+                    continue
+                joined.add(union)
+                order = orders[mask_i] * orders[mask_j] // order_of(mask_i & mask_j)
+                if any(m & union == union and orders[m] == order for m in orders):
+                    continue
+                gens = gens_i + [g for g in gens_j if g not in gens_i]
+                mask = mask_of(kernels.close_elements(self._degree, gens, total))
+                assert mask not in subs and order_of(mask) == order
+                subs[mask] = gens
+                orders[mask] = order
+                work.append(mask)
         entries = []
         for mask, gens in subs.items():
             group = PermGroup([Permutation._from_table(t) for t in gens],
@@ -535,26 +525,33 @@ def is_normal(n_group: PermGroup, g_group: PermGroup) -> bool:
     return True
 
 
-def group_from_elements(tables: Iterable[bytes], degree: int) -> PermGroup:
-    """A PermGroup with a small generating set for the group whose element
-    tables are given; they must list a whole group.
-
-    Walks the sorted tables and makes each one outside the subgroup
-    generated so far a new generator.  The subgroup's elements grow by whole
-    cosets (`kernels.extend_elements`), so membership is a set lookup and no
-    stabilizer chain is built.
-    """
-    tables = sorted(set(tables))
-    elements: Optional[List[bytes]] = [bytes(range(degree))]
+def _grow(elements: List[bytes], gens: List[bytes], candidates: Iterable[bytes],
+          limit: int) -> Optional[List[bytes]]:
+    """Grow the group listed by `elements` (identity first) and generated by
+    `gens`: each candidate outside it joins `gens` and extends it by whole
+    cosets.  The final element list, or None past `limit` elements."""
     members = set(elements)
-    gens: List[bytes] = []
-    for t in tables:
-        if len(members) == len(tables):
-            break
+    for t in candidates:
         if t not in members:
             gens.append(t)
-            elements = kernels.extend_elements(elements, gens, len(tables))
+            elements = kernels.extend_elements(elements, gens, limit)
             if elements is None:
-                raise ValueError("the tables do not form a group")
-            members = set(elements)
+                return None
+            members.update(elements[len(members):])
+    return elements
+
+
+def group_from_elements(tables: Iterable[bytes], degree: int) -> PermGroup:
+    """A PermGroup with a small generating set for the group whose element
+    tables are given; ValueError unless they list exactly one whole group.
+
+    Grows a group from the identity over the sorted tables (`_grow`), with
+    no stabilizer chain.  Every table ends up inside the grown group, so the
+    two sets are equal exactly when the walk ends with len(tables) elements.
+    """
+    tables = sorted(set(tables))
+    gens: List[bytes] = []
+    elements = _grow([bytes(range(degree))], gens, tables, len(tables))
+    if elements is None or len(elements) != len(tables):
+        raise ValueError("the tables do not form a group")
     return PermGroup([Permutation._from_table(t) for t in gens], degree=degree)

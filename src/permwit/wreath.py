@@ -143,7 +143,7 @@ class BlockSystem:
         return Permutation._from_table(bytes(table))
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def blocks_from_orbits(n2: PermGroup) -> BlockSystem:
@@ -179,13 +179,11 @@ class EmbeddingConditions:
 
 @dataclass
 class Embedding:
-    source: PermGroup
     block_system: BlockSystem
     p: int
     q: int
     relabel: Permutation
     image_map: Tuple[Tuple[Permutation, WreathElement], ...]
-    n1_images: Tuple[WreathElement, ...]
     n2_images: Tuple[WreathElement, ...]
     conditions: EmbeddingConditions
 
@@ -250,7 +248,6 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
                 f"block system: {exc}") from exc
 
     image_map = tuple((g, image_of(g, "G")) for g in g_group.generators)
-    n1_images = tuple(image_of(g, "N1") for g in n1.generators)
     n2_images = tuple(image_of(g, "N2") for g in n2.generators)
 
     conditions = EmbeddingConditions(
@@ -262,9 +259,8 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
             PermGroup([w.base[i0] for w in n2_images], degree=q).is_transitive()
             for i0 in range(p)),
     )
-    return Embedding(source=g_group, block_system=blocks, p=p, q=q,
-                     relabel=relabel, image_map=image_map,
-                     n1_images=n1_images, n2_images=n2_images,
+    return Embedding(block_system=blocks, p=p, q=q, relabel=relabel,
+                     image_map=image_map, n2_images=n2_images,
                      conditions=conditions)
 
 

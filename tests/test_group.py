@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from random import Random
 
 import pytest
@@ -246,6 +247,20 @@ class TestAllNormalSubgroups:
         monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
         assert len(group.all_normal_subgroups()) > 2
         assert builds == []
+
+    @pytest.mark.parametrize("degree, cycles, counts", [
+        (10, ("(1 2)", "(3 4)", "(5 6)", "(7 8)", "(9 10)"),
+         {1: 1, 2: 31, 4: 155, 8: 155, 16: 31, 32: 1}),
+        (12, ("(1 2 3)", "(4 5 6)", "(7 8 9)", "(10 11 12)"),
+         {1: 1, 3: 40, 9: 130, 27: 40, 81: 1}),
+    ], ids=["C2^5", "C3^4"])
+    def test_elementary_abelian_lattice(self, degree, cycles, counts):
+        # every subgroup is normal, and the counts per order are the
+        # Gaussian binomials
+        group = PermGroup.from_cycles(degree, *cycles)
+        lattice = group.all_normal_subgroups()
+        assert Counter(e.order for e in lattice) == counts
+        assert all(e.group.order() == e.order for e in lattice)
 
     def test_lattice_is_cached_and_budget_still_checked(self):
         s5 = PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)")
@@ -546,6 +561,11 @@ class TestGroupFromElements:
         cycle = parse_cycles("(1 2 3)", 3).table
         with pytest.raises(ValueError, match="not form a group"):
             group_from_elements([ident, cycle], 3)
+        # C4 = <(1 2 3 4)> has four elements too, but does not hold (1 3)
+        tables = [parse_cycles(c, 4).table
+                  for c in ("()", "(1 2 3 4)", "(1 3)", "(1 4)(2 3)")]
+        with pytest.raises(ValueError, match="not form a group"):
+            group_from_elements(tables, 4)
 
 
 class TestRandomElement:
