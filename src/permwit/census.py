@@ -17,9 +17,11 @@ independent dedupes.
 
 Each census fact is computed once: the sorted element list of S_q is
 closed once per q and shared by the census and the containment check, an
-entry keeps its lattice and, when simple, its normalizer in S_q;
-`census_report` runs the four checks, and the refutation pipeline reads
-its verdicts from that report.  A failed check is a verdict in the
+entry keeps its lattice, its simple transitive normal subgroups and, when
+simple, its normalizer in S_q.  A normal subgroup that is itself an entry
+takes its simplicity from that entry, so no group's lattice is computed
+twice.  `census_report` runs the four checks, and the refutation pipeline
+reads its verdicts from that report.  A failed check is a verdict in the
 report, not an error: an entry that is neither affine nor doubly
 transitive is listed, and `verify_burnside` reports it as failed.  Only
 the internal cross-checks and sanity checks that no report covers raise.
@@ -83,7 +85,10 @@ def affine_group(q: int) -> PermGroup:
 @dataclass
 class CensusEntry:
     """A transitive group of degree q.  `normalizer`, its normalizer in S_q,
-    is kept for simple entries and is None otherwise."""
+    is kept for simple entries and is None otherwise.
+    `simple_transitive_normals` lists its nontrivial normal subgroups that
+    are transitive and simple, in lattice order; `census` fills it in once
+    every entry exists."""
 
     q: int
     group: PermGroup
@@ -93,6 +98,7 @@ class CensusEntry:
     is_2transitive: bool
     in_affine: bool
     normalizer: Optional[PermGroup]
+    simple_transitive_normals: Tuple[NormalSubgroup, ...] = ()
 
     @property
     def normalizer_index(self) -> Optional[int]:
@@ -316,7 +322,22 @@ def census(q: int) -> List[CensusEntry]:
             normalizer=group_from_elements(_normalizer_tables(group, sq_elements), q)
             if simple else None))
     entries.sort(key=lambda e: e.order)
+    for entry in entries:
+        entry.simple_transitive_normals = tuple(
+            sub for sub in entry.normal_subgroups
+            if sub.order > 1 and sub.group.is_transitive() and _is_simple(sub, entries))
     return entries
+
+
+def _is_simple(sub: NormalSubgroup, entries: List[CensusEntry]) -> bool:
+    """Whether a normal subgroup of a census entry is simple.  An entry of
+    the subgroup's order that holds its generators is the same group, whose
+    simplicity is known, so only a subgroup that is no entry has its
+    lattice computed."""
+    for entry in entries:
+        if entry.order == sub.order and all(map(entry.group.contains, sub.group.generators)):
+            return entry.is_simple
+    return len(sub.group.all_normal_subgroups()) == 2
 
 
 @dataclass
@@ -374,21 +395,11 @@ class BurnsideReport:
         return {**asdict(self), "passed": self.passed}
 
 
-def _simple_transitive_normals(entry: CensusEntry) -> List[NormalSubgroup]:
-    """The entry's nontrivial normal subgroups that are transitive and simple.
-    The one of the entry's own order is the entry, whose simplicity is
-    known, so only proper normal subgroups have their lattices computed."""
-    return [sub for sub in entry.normal_subgroups
-            if sub.order > 1 and sub.group.is_transitive()
-            and (entry.is_simple if sub.order == entry.order
-                 else len(sub.group.all_normal_subgroups()) == 2)]
-
-
 def verify_burnside(entry: CensusEntry) -> BurnsideReport:
     """Dichotomy: the entry embeds in AGL(1,q), or it is doubly transitive
     with a nonabelian simple transitive normal subgroup."""
     witness_order = next(
-        (sub.order for sub in _simple_transitive_normals(entry)
+        (sub.order for sub in entry.simple_transitive_normals
          if any(g * h != h * g
                 for g in sub.group.generators for h in sub.group.generators)),
         None)
@@ -475,11 +486,10 @@ def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
     checked = 0
     failures = []
     for entry in entries:
-        simple_transitive = _simple_transitive_normals(entry)
-        if not simple_transitive:
+        if not entry.simple_transitive_normals:
             continue
         checked += 1
-        for h_sub in simple_transitive:
+        for h_sub in entry.simple_transitive_normals:
             for n_sub in entry.normal_subgroups:
                 if n_sub.order == 1:
                     continue

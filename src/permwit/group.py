@@ -9,11 +9,15 @@ residue found while checking the Schreier generators of level i sits only
 on levels i+1..j, where j is the level at which it stopped sifting: levels
 0..i already generate it, so they never sift products with it (Holt, Eick
 and O'Brien, *Handbook of Computational Group Theory*, 2005, section 4.4).
-Each level stores its transversal representatives and their inverses; the
+Each level stores its transversal representatives, and the inverse of a
+representative the first time a sift or a Schreier generator reads it; the
 inverses, like the strong generators (one padded copy of each), are kept as
 256-byte translation tables, so a sift step or a Schreier generator is one
 `bytes.translate` per product and building or sifting the chain calls no
-Python-level kernel.
+Python-level kernel.  The Schreier generators of the edges of the
+breadth-first tree that built a transversal are the identity by
+construction (Schreier's lemma; Holt, Eick and O'Brien, section 4.1), so
+only the other edges are checked.
 
 Conjugacy classes and the normal-subgroup lattice are enumerated exactly
 for groups of at most ENUMERATION_BUDGET elements; each class is kept as
@@ -38,6 +42,7 @@ cached.  Distinct groups may be processed in parallel.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -56,16 +61,22 @@ class _OrderLimitHit(Exception):
 class StabilizerChain:
     """Base, strong generators and per-level transversals for one group.
 
-    `inv_transversals[i]` has the keys of `transversals[i]`, mapped to the
-    inverses of their representatives as 256-byte translation tables:
-    `bytes.maketrans(rep, ident)`, whose first `degree` bytes are rep^-1.
-    A sift step is then `table.translate(inv_rep)`, the product
-    rep^-1 * table.  Each strong generator is padded once to 256 bytes,
-    like the inverses, and that one copy sits on every level list it
-    belongs to.  `stabilizer_gens(k)` lists level k's strong generators,
-    cut back to `degree` bytes and placed by the per-level rule of the
-    module docstring; they fix the first k base points and, once the chain
-    is complete, generate their pointwise stabilizer.
+    `inverse_rep(i, x)` is the inverse of level i's representative of x as
+    a 256-byte translation table, `bytes.maketrans(rep, ident)`, whose
+    first `degree` bytes are rep^-1.  It is made the first time a sift or
+    a Schreier generator reads it, and kept.  A sift step is then
+    `table.translate(inv_rep)`, the product rep^-1 * table.  Each strong
+    generator is padded once to 256 bytes, like the inverses, and that one
+    copy sits on every level list it belongs to.  `stabilizer_gens(k)`
+    lists level k's strong generators, cut back to `degree` bytes and
+    placed by the per-level rule of the module docstring; they fix the
+    first k base points and, once the chain is complete, generate their
+    pointwise stabilizer.
+
+    The Schreier generator u_{s[x]}^-1 * s * u_x of an edge (x, s) of the
+    breadth-first tree that built the transversal is the identity, since
+    u_{s[x]} = s * u_x there, so the Schreier condition is checked on the
+    other edges only.
 
     `gen_tables` must be distinct non-identity tables, as in
     `PermGroup._tables`.  `base_prefix` forces the given 0-based points to head the base (used
@@ -84,7 +95,11 @@ class StabilizerChain:
         # they were found
         self._level_gens: List[List[bytes]] = []
         self.transversals: List[Dict[int, bytes]] = []
-        self.inv_transversals: List[Dict[int, bytes]] = []
+        # the inverse representatives made so far, per level
+        self._inverses: List[Dict[int, bytes]] = []
+        # _edges[i] lists the edges (x, s) of level i's orbit graph outside
+        # its breadth-first tree, by point x, then in generator order
+        self._edges: List[List[Tuple[int, bytes]]] = []
         for b in base_prefix:
             self._append_level(b)
         for g in gen_tables:
@@ -96,7 +111,8 @@ class StabilizerChain:
         self.base.append(point)
         self._level_gens.append([])
         self.transversals.append({point: self._ident})
-        self.inv_transversals.append({point: kernels.PADDED_IDENTITY})
+        self._inverses.append({point: kernels.PADDED_IDENTITY})
+        self._edges.append([])
 
     def _cover(self, g: bytes) -> int:
         # the depth of g, appending a new level first if g fixes the whole base
@@ -119,31 +135,42 @@ class StabilizerChain:
             raise _OrderLimitHit
 
     def _rebuild_transversal(self, i: int) -> None:
-        # u_y = s * u_x is u_x translated by s; its inverse is one maketrans
+        # u_y = s * u_x is u_x translated by s
         gens = self._level_gens[i]
         b = self.base[i]
-        ident = self._ident
-        trans = {b: ident}
-        inv_trans = {b: kernels.PADDED_IDENTITY}
+        trans = {b: self._ident}
+        edges = []
         queue = [b]
-        head = 0
-        while head < len(queue):
-            x = queue[head]
-            head += 1
+        for x in queue:  # `queue` grows while it is read
             ux = trans[x]
             for s in gens:
                 y = s[x]
-                if y not in trans:
-                    uy = ux.translate(s)
-                    trans[y] = uy
-                    inv_trans[y] = bytes.maketrans(uy, ident)
+                if y in trans:
+                    edges.append((x, s))
+                else:
+                    trans[y] = ux.translate(s)
                     queue.append(y)
+        edges.sort(key=operator.itemgetter(0))  # stable: generator order per x
         self.transversals[i] = trans
-        self.inv_transversals[i] = inv_trans
+        self._inverses[i] = {b: kernels.PADDED_IDENTITY}
+        self._edges[i] = edges
+
+    def inverse_rep(self, i: int, x: int) -> Optional[bytes]:
+        """The inverse of level i's representative of x, padded to 256
+        bytes; None when x lies outside level i's orbit."""
+        inv_rep = self._inverses[i].get(x)
+        if inv_rep is None:
+            rep = self.transversals[i].get(x)
+            if rep is None:
+                return None
+            inv_rep = self._inverses[i][x] = bytes.maketrans(rep, self._ident)
+        return inv_rep
 
     def _sift_from(self, start: int, table: bytes) -> Tuple[bytes, int]:
         for i in range(start, len(self.base)):
-            inv_rep = self.inv_transversals[i].get(table[self.base[i]])
+            x = table[self.base[i]]
+            # the kept inverse, else inverse_rep makes it (None off the orbit)
+            inv_rep = self._inverses[i].get(x) or self.inverse_rep(i, x)
             if inv_rep is None:
                 return table, i
             table = table.translate(inv_rep)
@@ -165,22 +192,24 @@ class StabilizerChain:
 
     def _check_level(self, i: int) -> Optional[int]:
         trans = self.transversals[i]
-        inv_trans = self.inv_transversals[i]
-        gens = self._level_gens[i]
-        for x in sorted(trans):
-            ux = trans[x]
-            for s in gens:
-                # the Schreier generator u_{s[x]}^-1 * s * u_x
-                sg = ux.translate(s).translate(inv_trans[s[x]])
-                if sg == self._ident:
-                    continue
-                residue, _ = self._sift_from(i + 1, sg)
-                if residue == self._ident:
-                    continue
-                j = self._cover(residue)  # where it stopped sifting, or a new level
-                self._add_gen(residue, i + 1, j)
-                self._recompute(i + 1, j + 1)
-                return j
+        inverses = self._inverses[i]
+        ident = self._ident
+        for x, s in self._edges[i]:
+            y = s[x]
+            inv = inverses.get(y)
+            if inv is None:
+                inv = inverses[y] = bytes.maketrans(trans[y], ident)
+            # the Schreier generator u_{s[x]}^-1 * s * u_x
+            sg = trans[x].translate(s).translate(inv)
+            if sg == ident:
+                continue
+            residue, _ = self._sift_from(i + 1, sg)
+            if residue == ident:
+                continue
+            j = self._cover(residue)  # where it stopped sifting, or a new level
+            self._add_gen(residue, i + 1, j)
+            self._recompute(i + 1, j + 1)
+            return j
         return None
 
     def order(self) -> int:
@@ -298,7 +327,7 @@ class PermGroup:
         return frozenset(p + 1 for p in orb)
 
     def is_transitive(self) -> bool:
-        return len(self.orbit_of(1)) == self._degree
+        return len(kernels.orbit(0, self._tables)) == self._degree
 
     def is_2_transitive(self) -> bool:
         """True iff the action on ordered pairs of distinct points is transitive."""
@@ -464,6 +493,9 @@ class PermGroup:
                 subs.setdefault(mask, gens)
         atoms = list(subs.items())[1:]  # the class closures, without the trivial subgroup
         orders = {mask: order_of(mask) for mask in subs}
+        by_order: Dict[int, List[int]] = {}  # order -> the masks of that order
+        for mask, order in orders.items():
+            by_order.setdefault(order, []).append(mask)
         joined: Set[int] = set()
         work = list(subs)
         for mask_i in work:
@@ -474,13 +506,14 @@ class PermGroup:
                     continue
                 joined.add(union)
                 order = orders[mask_i] * orders[mask_j] // order_of(mask_i & mask_j)
-                if any(m & union == union and orders[m] == order for m in orders):
+                if any(m & union == union for m in by_order.get(order, ())):
                     continue
                 gens = gens_i + [g for g in gens_j if g not in gens_i]
                 mask = mask_of(kernels.close_elements(self._degree, gens, total))
                 assert mask not in subs and order_of(mask) == order
                 subs[mask] = gens
                 orders[mask] = order
+                by_order.setdefault(order, []).append(mask)
                 work.append(mask)
         entries = []
         for mask, gens in subs.items():

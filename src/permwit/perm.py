@@ -7,7 +7,11 @@ the left action fixed once for the whole package:
 
     (a * b)(x) = a(b(x))
 
-Values are immutable and hashable, safe to share between threads.
+Values are immutable and hashable, safe to share between threads.  Each
+value renders its cycle string on the first `cycle_string()` call and
+keeps it (a second render in a race writes the same string), so a shared
+permutation, such as a generator listed by several groups, is rendered
+once however many reports print it.
 """
 
 from __future__ import annotations
@@ -21,11 +25,14 @@ from permwit.errors import CycleParseError, DegreeMismatch
 
 MAX_DEGREE = 256
 
+# the 1-based label of each 0-based point, as printed in cycle notation
+_LABELS = tuple(str(x + 1) for x in range(MAX_DEGREE))
+
 
 class Permutation:
     """A bijection of {1..n}, stored as an image table."""
 
-    __slots__ = ("_table",)
+    __slots__ = ("_table", "_text")
 
     def __init__(self, images: Iterable[int]):
         """Build from the 1-based image table: images[k-1] is the image of point k."""
@@ -43,12 +50,14 @@ class Permutation:
             seen[v - 1] = True
             table[k] = v - 1
         self._table = bytes(table)
+        self._text = None
 
     @classmethod
     def _from_table(cls, table: bytes) -> "Permutation":
         """Wrap a trusted 0-based image table without validation."""
         p = object.__new__(cls)
         p._table = table
+        p._text = None
         return p
 
     @classmethod
@@ -126,11 +135,25 @@ class Permutation:
         return out
 
     def cycle_string(self) -> str:
-        """Canonical cycle notation; parse_cycles reads it back at the same degree."""
-        cycles = self.cycles()
-        if not cycles:
-            return "()"
-        return "".join("(" + " ".join(str(p) for p in c) + ")" for c in cycles)
+        """Canonical cycle notation; parse_cycles reads it back at the same degree.
+
+        The cycles of `cycles()`, in one pass over the table; rendered on
+        the first call and kept."""
+        if self._text is None:
+            table = self._table
+            seen = bytearray(len(table))
+            out = []
+            for start, x in enumerate(table):
+                if seen[start] or x == start:
+                    continue
+                labels = [_LABELS[start]]
+                while x != start:
+                    seen[x] = 1
+                    labels.append(_LABELS[x])
+                    x = table[x]
+                out.append("(" + " ".join(labels) + ")")
+            self._text = "".join(out) or "()"
+        return self._text
 
     def cycle_type(self) -> Tuple[int, ...]:
         """Multiset of cycle lengths, fixed points included, ascending."""

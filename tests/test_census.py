@@ -16,7 +16,6 @@ from permwit.census import (
     _extensions,
     _normalizer_tables,
     _partition_into_classes,
-    _simple_transitive_normals,
     _symmetric_elements,
     affine_group,
     applicable_primes,
@@ -234,20 +233,24 @@ class TestReports:
         assert lattices
         for group, lattice in lattices:
             assert first.setdefault(id(group), lattice) is lattice
-        # the normal subgroup of an entry's own order is the entry, whose
-        # lattice is already known: 7 entries and 6 proper normal subgroups
-        whole = {id(sub.group) for e in entries for sub in e.normal_subgroups
-                 if sub.order == e.order}
-        assert len(whole) == len(entries) == 7
-        assert not whole & set(first)
-        assert len(first) == 13
+        # a normal subgroup that is an entry takes its simplicity from that
+        # entry.  At q = 7 every transitive proper normal subgroup is one:
+        # C_7, C_7:C_2 and C_7:C_3 in the affine entries and A_7 in S_7, so
+        # only the 7 entries have their lattices computed
+        assert len(entries) == 7
+        assert set(first) == {id(e.group) for e in entries}
+        proper = [sub for e in entries for sub in e.normal_subgroups
+                  if 1 < sub.order < e.order and sub.group.is_transitive()]
+        assert sorted(sub.order for sub in proper) == [7, 7, 7, 14, 21, 2520]
 
     def test_simple_transitive_normals_match_every_lattice(self, census5, census7):
         for entry in census5 + census7:
             reference = [sub for sub in entry.normal_subgroups
                          if sub.order > 1 and sub.group.is_transitive()
                          and len(sub.group.all_normal_subgroups()) == 2]
-            assert _simple_transitive_normals(entry) == reference
+            assert entry.simple_transitive_normals == tuple(reference)
+            # with no entry to match, each one's lattice is computed
+            assert all(census_module._is_simple(sub, []) for sub in reference)
 
 
 def _agl_tables(q):

@@ -322,6 +322,9 @@ GOLDEN = {
     "witness 9": (0, "e47856968814b7762969e8259d95a4c107cdd9d6f7fbb931bb87e57ffc504777"),
     "witness 21": (0, "ba4804d870682e0be9b6208ea2f2840ab9de719384d859782d6fead629982286"),
     "witness 100": (0, "415705a57d393989365d77ee07a65cc6c341f4467e5ce49abc7ddefe8d2e2167"),
+    # three-digit labels; p = 11, and p = 2 with 127 transpositions in sigma
+    "witness 253": (0, "7a8d96fb585dc8906498050b4d805a59df68bf16ef4ba7a722b59064464616f9"),
+    "witness 254": (0, "947eee7d4fe6de8790b9fb5dd222e1cf3de3f332504b11277e770ed975f557de"),
     "witness 255": (2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
     "verify w21.grp":
         (0, "fe6b88e7cde0009d6f77a19d1a880a3e2593cd56f787ab9c305a25c2f2875f4c"),

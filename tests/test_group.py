@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import Counter
 from random import Random
@@ -9,6 +10,7 @@ from permwit.census import affine_group, census
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
 from permwit.group import PermGroup, StabilizerChain, group_from_elements, is_normal
 from permwit.perm import Permutation, parse_cycles, random_permutation
+from permwit.witness import construct_witness
 from permwit.wreath import WreathElement
 
 from samplers import random_group_with_normal
@@ -310,13 +312,15 @@ class TestEqualOrbitSizeProperty:
 
 def assert_inverse_transversals(chain):
     ident = bytes(range(chain.degree))
-    assert len(chain.inv_transversals) == len(chain.transversals) == len(chain.base)
-    for trans, inv_trans in zip(chain.transversals, chain.inv_transversals):
-        assert inv_trans.keys() == trans.keys()
+    assert len(chain.transversals) == len(chain.base)
+    for i, trans in enumerate(chain.transversals):
         for x, rep in trans.items():
-            inv = inv_trans[x]  # rep^-1 as a padded translation table
+            inv = chain.inverse_rep(i, x)  # rep^-1 as a padded translation table
             assert len(inv) == 256
             assert rep.translate(inv) == ident
+            assert chain.inverse_rep(i, x) is inv
+        outside = set(range(chain.degree)) - trans.keys()
+        assert all(chain.inverse_rep(i, x) is None for x in outside)
 
 
 def s7_chain():
@@ -353,6 +357,45 @@ class TestInverseTransversals:
         assert chain.base[:2] == [3, 5]
         assert chain.order() == 5040
         assert_inverse_transversals(chain)
+
+
+# the sha256 of repr((base, per-level strong generators, sorted transversal
+# items)) of each chain, recorded from an earlier version of the chain build:
+# skipping the Schreier generators of tree edges, which are the identity,
+# must leave every base, level generator and representative as it was
+PINNED_CHAINS = {
+    "S7": (s7_chain, "e61729f7194fe7fc7a10e6b1828074df76e02695b724859553b095e20aeaf283"),
+    "wreath_15": (wreath_15_chain,
+                  "bf6604b53a095b7c5418e4fbd51d92266fda911b1b899b309420773ecff9f66d"),
+    "witness_253": (lambda: construct_witness(253, 11).G.chain,
+                    "fd932e279eb0ade27aa47fe38d623597a0067350c8670d4ee30eb81a1db7f907"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_CHAINS))
+def test_pinned_chain(name):
+    build, digest = PINNED_CHAINS[name]
+    chain = build()
+    key = (chain.base, [chain.stabilizer_gens(k) for k in range(len(chain.base))],
+           [sorted(t.items()) for t in chain.transversals])
+    assert hashlib.sha256(repr(key).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],
+                         ids=["S7", "wreath_15", "S7_base_prefix"])
+def test_schreier_check_skips_only_trivial_generators(build):
+    # every edge (x, s) of a level's orbit graph that the check skips has
+    # the identity as its Schreier generator u_{s[x]}^-1 * s * u_x
+    chain = build()
+    ident = bytes(range(chain.degree))
+    for i, trans in enumerate(chain.transversals):
+        checked = chain._edges[i]
+        assert [x for x, _ in checked] == sorted(x for x, _ in checked)
+        for x, rep in trans.items():
+            for s in chain._level_gens[i]:
+                if (x, s) not in checked:
+                    assert rep.translate(s).translate(chain.inverse_rep(i, s[x])) == ident
+        assert len(checked) == len(trans) * len(chain._level_gens[i]) - (len(trans) - 1)
 
 
 def test_chain_build_and_sift_call_no_kernel(monkeypatch):

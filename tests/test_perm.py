@@ -176,6 +176,24 @@ class TestParsePrint:
             g = random_permutation(n, rng)
             assert parse_cycles(g.cycle_string(), n) == g
 
+    @pytest.mark.parametrize("degree", [1, 2, 7, 100, 256])
+    def test_round_trip_up_to_max_degree(self, degree):
+        # against a render of cycles(); three-digit labels from degree 100
+        rng = Random(degree)
+        for _ in range(20):
+            g = random_permutation(degree, rng)
+            text = g.cycle_string()
+            expected = "".join("(" + " ".join(map(str, c)) + ")" for c in g.cycles())
+            assert text == (expected or "()")
+            assert parse_cycles(text, degree) == g
+
+    def test_cycle_string_is_rendered_once(self):
+        e = Permutation.identity(256)
+        assert e.cycle_string() == "()"
+        assert e.cycle_string() is e.cycle_string()
+        g = random_permutation(256, Random(5))
+        assert g.cycle_string() is g.cycle_string() is str(g)
+
     @given(st.integers(1, 40), st.randoms(use_true_random=False))
     def test_round_trip_hypothesis(self, n, rnd):
         g = random_permutation(n, rnd)
