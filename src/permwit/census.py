@@ -57,6 +57,7 @@ from permwit.group import (
     NormalSubgroup,
     PermGroup,
     StabilizerChain,
+    _OrderLimitHit,
     group_from_elements,
 )
 from permwit.numthy import is_prime, primitive_root
@@ -170,12 +171,14 @@ def _extensions(start: Fingerprint, ambient: Sequence[bytes],
     a, b in A.
 
     The order of <A, g> comes from a stabilizer chain on A's generators
-    and g.  A closure of the ambient order is the ambient group, yielded as
-    `tuple(ambient)`.  `listed` maps an order to the member sets and sorted
-    tuples of the closures of that order listed so far; one of them that
-    holds every generator is <A, g>, since it has the same order.  Any
-    other closure is listed coset by coset, must have exactly the chain's
-    order, and is added to `listed`."""
+    and g.  A build that passes |ambient| - 1 stops: <A, g> is then the
+    ambient group, yielded as `tuple(ambient)`.  `listed` maps an order to
+    the member sets and sorted tuples of the closures of that order listed
+    so far; one of them that holds every generator is <A, g>, since it has
+    the same order.  Any other closure is listed coset by coset, must have
+    exactly the chain's order, and is added to `listed`."""
+    if len(start) == len(ambient):
+        return  # A is the ambient group, so no g lies outside it
     degree = len(start[0])
     gens = [p.table for p in group_from_elements(start, degree).generators]
     covered = set(start)
@@ -183,8 +186,9 @@ def _extensions(start: Fingerprint, ambient: Sequence[bytes],
         if g in covered:
             continue
         tables = gens + [g]  # distinct and non-identity, as g lies outside A
-        order = StabilizerChain(degree, tables).order()
-        if order == len(ambient):
+        try:
+            order = StabilizerChain(degree, tables, order_limit=len(ambient) - 1).order()
+        except _OrderLimitHit:
             yield tuple(ambient)
         else:
             same_order = listed.setdefault(order, [])

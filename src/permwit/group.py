@@ -14,10 +14,12 @@ representative the first time a sift or a Schreier generator reads it; the
 inverses, like the strong generators (one padded copy of each), are kept as
 256-byte translation tables, so a sift step or a Schreier generator is one
 `bytes.translate` per product and building or sifting the chain calls no
-Python-level kernel.  The Schreier generators of the edges of the
-breadth-first tree that built a transversal are the identity by
-construction (Schreier's lemma; Holt, Eick and O'Brien, section 4.1), so
-only the other edges are checked.
+Python-level kernel.  After one breadth-first pass per level over the
+input generators, a level's orbit and transversal only grow, so each
+Schreier generator is sifted at most once (section 4.4); those of the edges
+that added a point are the identity (Schreier's lemma, section 4.1) and
+are never formed.  `StabilizerChain.adjoin` grows a complete chain by one
+generator the same way, for `normal_closure`.
 
 Conjugacy classes and the normal-subgroup lattice are enumerated exactly
 for groups of at most ENUMERATION_BUDGET elements; each class is kept as
@@ -42,7 +44,6 @@ cached.  Distinct groups may be processed in parallel.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from random import Random
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
@@ -73,10 +74,11 @@ class StabilizerChain:
     first k base points and, once the chain is complete, generate their
     pointwise stabilizer.
 
-    The Schreier generator u_{s[x]}^-1 * s * u_x of an edge (x, s) of the
-    breadth-first tree that built the transversal is the identity, since
-    u_{s[x]} = s * u_x there, so the Schreier condition is checked on the
-    other edges only.
+    A strong generator that joins a level is applied to the points already
+    there, and every generator to each point that joins, so no
+    representative is ever replaced.  The Schreier generator
+    u_{s[x]}^-1 * s * u_x of an edge (x, s) that added s[x] is the identity;
+    a level keeps its other edges until the check sifts them, once each.
 
     `gen_tables` must be distinct non-identity tables, as in
     `PermGroup._tables`.  `base_prefix` forces the given 0-based points to head the base (used
@@ -97,15 +99,16 @@ class StabilizerChain:
         self.transversals: List[Dict[int, bytes]] = []
         # the inverse representatives made so far, per level
         self._inverses: List[Dict[int, bytes]] = []
-        # _edges[i] lists the edges (x, s) of level i's orbit graph outside
-        # its breadth-first tree, by point x, then in generator order
+        # _edges[i] lists the edges (x, s) of level i's orbit graph whose
+        # Schreier generators are still to be checked
         self._edges: List[List[Tuple[int, bytes]]] = []
         for b in base_prefix:
             self._append_level(b)
         for g in gen_tables:
             self._add_gen(g, 0, self._cover(g))
-        self._recompute(0, len(self.base))
-        self._complete()
+        for i, b in enumerate(self.base):
+            self._extend(i, [b], self._level_gens[i])
+        self._complete(len(self.base) - 1)
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
@@ -119,41 +122,40 @@ class StabilizerChain:
         for k, b in enumerate(self.base):
             if g[b] != b:
                 return k
-        self._append_level(min(x for x in range(self.degree) if g[x] != x))
+        self._append_level(next(x for x in range(self.degree) if g[x] != x))
         return len(self.base) - 1
 
-    def _add_gen(self, g: bytes, lo: int, hi: int) -> None:
-        # g joins levels lo..hi; it must fix base[:hi] pointwise
+    def _add_gen(self, g: bytes, lo: int, hi: int) -> bytes:
+        # g joins levels lo..hi, padded; it must fix base[:hi] pointwise
         padded = g + kernels.PADDED_IDENTITY[len(g):]
         for gens in self._level_gens[lo:hi + 1]:
             gens.append(padded)
+        return padded
 
-    def _recompute(self, lo: int, hi: int) -> None:
-        for i in range(lo, hi):
-            self._rebuild_transversal(i)
-        if self._limit is not None and self.order() > self._limit:
+    def _adjoin(self, g: bytes, lo: int, hi: int) -> None:
+        # g joins levels lo..hi, and each of their orbits grows by it
+        padded = self._add_gen(g, lo, hi)
+        for i in range(lo, hi + 1):
+            self._extend(i, list(self.transversals[i]), [padded])
+
+    def _extend(self, i: int, points: List[int], gens: List[bytes]) -> None:
+        # walk level i's orbit graph on `gens` from `points`, then on every
+        # level generator from each point the walk adds; u_y = s * u_x is u_x
+        # translated by s, and each edge onto a known point awaits the check
+        trans = self.transversals[i]
+        edges = self._edges[i]
+        added: List[int] = []
+        for xs, ss in ((points, gens), (added, self._level_gens[i])):
+            for x in xs:  # `added` grows while it is read
+                for s in ss:
+                    y = s[x]
+                    if y in trans:
+                        edges.append((x, s))
+                    else:
+                        trans[y] = trans[x].translate(s)
+                        added.append(y)
+        if added and self._limit is not None and self.order() > self._limit:
             raise _OrderLimitHit
-
-    def _rebuild_transversal(self, i: int) -> None:
-        # u_y = s * u_x is u_x translated by s
-        gens = self._level_gens[i]
-        b = self.base[i]
-        trans = {b: self._ident}
-        edges = []
-        queue = [b]
-        for x in queue:  # `queue` grows while it is read
-            ux = trans[x]
-            for s in gens:
-                y = s[x]
-                if y in trans:
-                    edges.append((x, s))
-                else:
-                    trans[y] = ux.translate(s)
-                    queue.append(y)
-        edges.sort(key=operator.itemgetter(0))  # stable: generator order per x
-        self.transversals[i] = trans
-        self._inverses[i] = {b: kernels.PADDED_IDENTITY}
-        self._edges[i] = edges
 
     def inverse_rep(self, i: int, x: int) -> Optional[bytes]:
         """The inverse of level i's representative of x, padded to 256
@@ -179,22 +181,31 @@ class StabilizerChain:
     def sift(self, table: bytes) -> Tuple[bytes, int]:
         return self._sift_from(0, table)
 
-    def _complete(self) -> None:
-        # verify the Schreier condition bottom-up; a failing level yields a
-        # new strong generator at the level where its residue stops sifting
-        i = len(self.base) - 1
+    def adjoin(self, table: bytes) -> bool:
+        """Grow this complete chain in place into a chain of <G, table>;
+        False, changing nothing, when table already lies in G."""
+        if self.contains(table):
+            return False
+        d = self._cover(table)
+        self._adjoin(table, 0, d)
+        self._complete(d)
+        return True
+
+    def _complete(self, i: int) -> None:
+        # check the Schreier condition bottom-up from level i; a failing
+        # level yields a new strong generator at the level where its residue
+        # stops sifting, and the check resumes there
         while i >= 0:
             stop = self._check_level(i)
-            if stop is None:
-                i -= 1
-            else:
-                i = stop
+            i = i - 1 if stop is None else stop
 
     def _check_level(self, i: int) -> Optional[int]:
         trans = self.transversals[i]
         inverses = self._inverses[i]
         ident = self._ident
-        for x, s in self._edges[i]:
+        edges = self._edges[i]
+        while edges:
+            x, s = edges.pop()
             y = s[x]
             inv = inverses.get(y)
             if inv is None:
@@ -207,8 +218,7 @@ class StabilizerChain:
             if residue == ident:
                 continue
             j = self._cover(residue)  # where it stopped sifting, or a new level
-            self._add_gen(residue, i + 1, j)
-            self._recompute(i + 1, j + 1)
+            self._adjoin(residue, i + 1, j)
             return j
         return None
 
@@ -378,7 +388,8 @@ class PermGroup:
         """Smallest normal subgroup of this group containing the seeds.
 
         Fixed-point iteration: conjugate the current generating set by the
-        group's generators until nothing new appears.
+        group's generators until nothing new appears.  One chain, built on
+        the seeds, grows in place with each new conjugate (`adjoin`).
         """
         ident = bytes(range(self._degree))
         current: List[bytes] = []
@@ -396,9 +407,8 @@ class PermGroup:
             for g in self._tables:
                 for h in list(current):
                     c = kernels.conjugate(h, g)
-                    if not chain.contains(c):
+                    if chain.adjoin(c):
                         current.append(c)
-                        chain = StabilizerChain(self._degree, current)
                         changed = True
         return PermGroup([Permutation._from_table(t) for t in current],
                          degree=self._degree)
@@ -581,10 +591,14 @@ def group_from_elements(tables: Iterable[bytes], degree: int) -> PermGroup:
     Grows a group from the identity over the sorted tables (`_grow`), with
     no stabilizer chain.  Every table ends up inside the grown group, so the
     two sets are equal exactly when the walk ends with len(tables) elements.
+    Within ENUMERATION_BUDGET, the walk's element list becomes the group's
+    `element_tables()`.
     """
     tables = sorted(set(tables))
     gens: List[bytes] = []
     elements = _grow([bytes(range(degree))], gens, tables, len(tables))
     if elements is None or len(elements) != len(tables):
         raise ValueError("the tables do not form a group")
-    return PermGroup([Permutation._from_table(t) for t in gens], degree=degree)
+    group = PermGroup([Permutation._from_table(t) for t in gens], degree=degree)
+    group._elements = elements if len(elements) <= ENUMERATION_BUDGET else None
+    return group

@@ -8,7 +8,13 @@ import pytest
 from permwit import kernels
 from permwit.census import affine_group, census
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
-from permwit.group import PermGroup, StabilizerChain, group_from_elements, is_normal
+from permwit.group import (
+    ENUMERATION_BUDGET,
+    PermGroup,
+    StabilizerChain,
+    group_from_elements,
+    is_normal,
+)
 from permwit.perm import Permutation, parse_cycles, random_permutation
 from permwit.witness import construct_witness
 from permwit.wreath import WreathElement
@@ -181,6 +187,23 @@ class TestNormalClosure:
         g = PermGroup.from_cycles(3, "(1 2 3)")
         with pytest.raises(NotASubgroup):
             g.normal_closure([parse_cycles("(1 2)", 3)])
+
+    def test_one_chain_grows_with_each_conjugate(self, monkeypatch):
+        s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
+        assert s7.order() == 5040  # S7's own chain is built first
+        builds = []
+        original = StabilizerChain.__init__
+
+        def counting_init(chain, *args, **kwargs):
+            builds.append(args)
+            original(chain, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        a7 = s7.normal_closure([parse_cycles("(1 2 3)", 7)])
+        assert len(builds) == 1
+        assert len(a7.generators) > 1  # conjugates were adjoined to that chain
+        assert a7.order() == 2520
+        assert is_normal(a7, s7)
 
 
 class TestConjugacyClasses:
@@ -360,13 +383,13 @@ class TestInverseTransversals:
 
 
 # the sha256 of repr((base, per-level strong generators, sorted transversal
-# items)) of each chain, recorded from an earlier version of the chain build:
-# skipping the Schreier generators of tree edges, which are the identity,
-# must leave every base, level generator and representative as it was
+# items)) of each chain, recorded when orbits began to grow in place: the
+# same inputs must keep giving the same bases, level generators and
+# representatives
 PINNED_CHAINS = {
-    "S7": (s7_chain, "e61729f7194fe7fc7a10e6b1828074df76e02695b724859553b095e20aeaf283"),
+    "S7": (s7_chain, "3d0ab6b10f9b427389bcefe0b4697aa47d2b5618ef0437b8cec303ac8c7a45a4"),
     "wreath_15": (wreath_15_chain,
-                  "bf6604b53a095b7c5418e4fbd51d92266fda911b1b899b309420773ecff9f66d"),
+                  "cb4914c669b23f8176fba68c3c9204ef3ebdd6d4d31e02f82cadb4c877084abc"),
     "witness_253": (lambda: construct_witness(253, 11).G.chain,
                     "fd932e279eb0ade27aa47fe38d623597a0067350c8670d4ee30eb81a1db7f907"),
 }
@@ -383,19 +406,31 @@ def test_pinned_chain(name):
 
 @pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],
                          ids=["S7", "wreath_15", "S7_base_prefix"])
-def test_schreier_check_skips_only_trivial_generators(build):
-    # every edge (x, s) of a level's orbit graph that the check skips has
-    # the identity as its Schreier generator u_{s[x]}^-1 * s * u_x
+def test_each_schreier_generator_is_sifted_once(build, monkeypatch):
+    # every edge (x, s) of a level's final orbit graph whose Schreier
+    # generator u_{s[x]}^-1 * s * u_x is not the identity was sifted from
+    # the next level exactly once during the build, and nothing else was
+    sifted = Counter()
+    original = StabilizerChain._sift_from
+
+    def counting(chain, start, table):
+        sifted[start, table] += 1
+        return original(chain, start, table)
+
+    monkeypatch.setattr(StabilizerChain, "_sift_from", counting)
     chain = build()
+    monkeypatch.undo()
     ident = bytes(range(chain.degree))
+    expected = Counter()
     for i, trans in enumerate(chain.transversals):
-        checked = chain._edges[i]
-        assert [x for x, _ in checked] == sorted(x for x, _ in checked)
         for x, rep in trans.items():
             for s in chain._level_gens[i]:
-                if (x, s) not in checked:
-                    assert rep.translate(s).translate(chain.inverse_rep(i, s[x])) == ident
-        assert len(checked) == len(trans) * len(chain._level_gens[i]) - (len(trans) - 1)
+                sg = rep.translate(s).translate(chain.inverse_rep(i, s[x]))[:chain.degree]
+                if sg != ident:
+                    expected[i + 1, sg] += 1
+    assert expected
+    assert sifted == expected
+    assert chain._edges == [[] for _ in chain.base]
 
 
 def test_chain_build_and_sift_call_no_kernel(monkeypatch):
@@ -495,6 +530,87 @@ def test_order_limit_abort_is_exact(seed):
         group = PermGroup(gens, degree=degree)
         assert group.order_exceeds(limit) == (order > limit)
         assert group.order() == order
+
+
+def assert_representatives_are_valid(chain, in_group):
+    # each representative lies in the group, maps its base point to its
+    # orbit point and fixes every earlier base point
+    for i, (b, trans) in enumerate(zip(chain.base, chain.transversals)):
+        for x, rep in trans.items():
+            assert in_group(rep)
+            assert rep[b] == x
+            assert all(rep[c] == c for c in chain.base[:i])
+
+
+def assert_matches_brute_force(chain, tables):
+    """Brute-force oracle for a group within the enumeration budget: the
+    order is the number of elements Dimino's method lists, every element
+    sifts to the identity, and every representative is valid."""
+    elements = kernels.close_elements(chain.degree, tables, ENUMERATION_BUDGET)
+    assert elements is not None
+    assert chain.order() == len(elements)
+    ident = bytes(range(chain.degree))
+    assert all(chain.sift(t)[0] == ident for t in elements)
+    assert_representatives_are_valid(chain, set(elements).__contains__)
+
+
+def small_group(seed):
+    """A group of degree at most 15 within the enumeration budget, drawn
+    from the seed: random cycles, or a sample of S5 wr S3."""
+    rng = Random(seed)
+    while True:
+        if seed % 2:
+            degree, gens = 15, random_wreath_15(rng)
+        else:
+            degree = rng.randint(2, 15)
+            gens = [random_cycle(degree, rng) for _ in range(rng.randint(1, 3))]
+        group = PermGroup(gens, degree=degree)
+        if not group.order_exceeds(ENUMERATION_BUDGET):
+            return group
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)"),
+    lambda: construct_witness(253, 11).G,
+], ids=["S7", "witness_253"])
+def test_named_chains_match_brute_force(build):
+    group = build()
+    assert_matches_brute_force(group.chain, group._tables)
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_seeded_chains_match_brute_force(seed):
+    group = small_group(seed)
+    tables = group._tables
+    assert_matches_brute_force(group.chain, tables)
+    # the same group grown one generator at a time, in place
+    grown = StabilizerChain(group.degree, tables[:1])
+    for t in tables[1:]:
+        grown.adjoin(t)
+    assert not grown.adjoin(tables[0])
+    assert_matches_brute_force(grown, tables)
+
+
+def test_wreath_15_chain_is_valid():
+    # S5 wr S3 has 120^3 * 6 elements, too many to list: its generators
+    # map blocks to blocks, so every representative must too, and random
+    # words in the generators must sift to the identity
+    chain = wreath_15_chain()
+    assert chain.order() == 120 ** 3 * 6
+    blocks = [set(range(k, k + 5)) for k in (0, 5, 10)]
+
+    def keeps_blocks(table):
+        return all({table[x] for x in block} in blocks for block in blocks)
+
+    assert_representatives_are_valid(chain, keeps_blocks)
+    gens = chain.stabilizer_gens(0)
+    rng = Random(15)
+    ident = bytes(range(15))
+    for _ in range(200):
+        word = ident
+        for _ in range(20):
+            word = kernels.compose(rng.choice(gens), word)
+        assert chain.sift(word)[0] == ident
 
 
 @pytest.mark.parametrize("build", [s7_chain, wreath_15_chain, s7_prefix_chain],
