@@ -20,7 +20,7 @@ from permwit.errors import (
     PermwitError,
 )
 from permwit.group import NormalSubgroup, PermGroup, is_normal
-from permwit.perm import Permutation, orbit, parse_cycles
+from permwit.perm import Permutation, parse_cycles
 
 __version__ = "0.1.0"
 
@@ -29,7 +29,6 @@ __all__ = [
     "PermGroup",
     "NormalSubgroup",
     "parse_cycles",
-    "orbit",
     "is_normal",
     "PermwitError",
     "DegreeMismatch",

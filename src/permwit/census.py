@@ -27,13 +27,14 @@ transitive is listed, and `verify_burnside` reports it as failed.  Only
 the internal cross-checks and sanity checks that no report covers raise.
 
 The sweeps work on the subgroup A they start from, whose elements are
-known.  A stabilizer chain on A's generators and g gives the order of
-<A, g> before any element is listed.  A closure of the order of S_q is
-S_q.  A closure of the same order as one the same `_overgroups` call
-already listed, and whose generators that one holds, is that closure;
-each call keeps its own record, so the routes still share no closure.
-Only the rest are listed, as A extended by whole left cosets
-(`kernels.extend_elements`), and the count must equal the chain's order.
+known.  A `PermGroup` on A's generators and g gives the order of <A, g>
+before any element is listed; `order_exceeds` stops its chain build once
+the order passes |S_q| - 1, and a closure of the order of S_q is S_q.
+A closure of the same order as one the same `_overgroups` call already
+listed, and whose generators that one holds, is that closure; each call
+keeps its own record, so the routes still share no closure.  Only the
+rest are listed, as A extended by whole left cosets
+(`kernels.extend_elements`), and the count must equal the group's order.
 The double coset A g A is a union of left cosets of A, AGL-conjugates
 are taken with one conjugator per left coset of A & AGL, and the
 normalizer in S_q is tested one left coset at a time.
@@ -53,15 +54,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
-from permwit.group import (
-    NormalSubgroup,
-    PermGroup,
-    StabilizerChain,
-    _OrderLimitHit,
-    group_from_elements,
-)
-from permwit.numthy import is_prime, primitive_root
-from permwit.perm import MAX_DEGREE
+from permwit.group import NormalSubgroup, PermGroup, group_from_elements
+from permwit.numthy import is_prime, pq_hypothesis_failure, primitive_root
+from permwit.perm import MAX_DEGREE, Permutation
 from permwit.quotient import is_cyclic, quotient
 from permwit.witness import build_sigma, standard_cycle
 
@@ -170,27 +165,29 @@ def _extensions(start: Fingerprint, ambient: Sequence[bytes],
     whose element list `ambient` must be sorted; <A, g> = <A, a g b> for
     a, b in A.
 
-    The order of <A, g> comes from a stabilizer chain on A's generators
-    and g.  A build that passes |ambient| - 1 stops: <A, g> is then the
-    ambient group, yielded as `tuple(ambient)`.  `listed` maps an order to
-    the member sets and sorted tuples of the closures of that order listed
-    so far; one of them that holds every generator is <A, g>, since it has
-    the same order.  Any other closure is listed coset by coset, must have
-    exactly the chain's order, and is added to `listed`."""
+    The order of <A, g> comes from a `PermGroup` on A's generators and g.
+    When `order_exceeds(|ambient| - 1)`, whose chain build stops at that
+    limit, <A, g> is the ambient group, yielded as `tuple(ambient)`.
+    `listed` maps an order to the member sets and sorted tuples of the
+    closures of that order listed so far; one of them that holds every
+    generator is <A, g>, since it has the same order.  Any other closure is
+    listed coset by coset, must have exactly the group's order, and is
+    added to `listed`."""
     if len(start) == len(ambient):
         return  # A is the ambient group, so no g lies outside it
     degree = len(start[0])
-    gens = [p.table for p in group_from_elements(start, degree).generators]
+    a_gens = group_from_elements(start, degree).generators
+    gens = [p.table for p in a_gens]
     covered = set(start)
     for g in ambient:
         if g in covered:
             continue
         tables = gens + [g]  # distinct and non-identity, as g lies outside A
-        try:
-            order = StabilizerChain(degree, tables, order_limit=len(ambient) - 1).order()
-        except _OrderLimitHit:
+        group = PermGroup(a_gens + (Permutation._from_table(g),), degree=degree)
+        if group.order_exceeds(len(ambient) - 1):
             yield tuple(ambient)
         else:
+            order = group.order()
             same_order = listed.setdefault(order, [])
             exact = next((known for members, known in same_order
                           if members.issuperset(tables)), None)
@@ -436,13 +433,9 @@ def verify_lemma_pq(q: int, p: int, entries: List[CensusEntry]) -> LemmaPqReport
     of degree q and every normal B of A, p | [A:B] forces q | [A:B]; the
     stronger form additionally forces B trivial.  Requires p < q primes
     with p not dividing q-1."""
-    if not (is_prime(p) and is_prime(q)):
-        raise HypothesisError(f"need primes, got p={p}, q={q}")
-    if p >= q:
-        raise HypothesisError(f"need p < q, got p={p}, q={q}")
-    if (q - 1) % p == 0:
-        raise HypothesisError(
-            f"{p} divides {q}-1 = {q - 1}; the divisibility sweep does not apply")
+    failure = pq_hypothesis_failure(p, q)
+    if failure is not None:
+        raise HypothesisError(failure)
     pairs = 0
     violations = []
     strong = []
@@ -514,7 +507,7 @@ def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
 
 def applicable_primes(q: int) -> List[int]:
     """Primes p < q with p not dividing q-1 (the divisibility sweep's scope)."""
-    return [p for p in range(2, q) if is_prime(p) and (q - 1) % p != 0]
+    return [p for p in range(2, q) if pq_hypothesis_failure(p, q) is None]
 
 
 def census_report(q: int) -> dict:

@@ -31,7 +31,7 @@ from permwit.witness import (
     verify_witness,
 )
 from permwit.wreath import embed
-from permwit.numthy import factorize
+from permwit.numthy import factorize, pq_hypothesis_failure
 
 EXIT_PASS = 0
 EXIT_MATH_FAIL = 1
@@ -51,7 +51,7 @@ def _witness_unavailable_message(n: int) -> str:
     factors = factorize(n)
     if len(factors) == 2 and factors[0][1] == 1 and factors[1][1] == 1:
         p, q = factors[0][0], factors[1][0]
-        if (q - 1) % p != 0:
+        if pq_hypothesis_failure(p, q) is None:
             return (f"no prime divides both {n} and phi({n}); moreover "
                     f"{n} = {p}*{q} with {p} not dividing {q}-1, so no witness "
                     f"of degree {n} exists at all (see: permwit refute {p} {q})")

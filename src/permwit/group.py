@@ -50,7 +50,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
-from permwit.perm import Permutation
+from permwit.perm import Permutation, parse_cycles
 
 ENUMERATION_BUDGET = 10000
 
@@ -84,7 +84,8 @@ class StabilizerChain:
     `PermGroup._tables`.  `base_prefix` forces the given 0-based points to head the base (used
     for pointwise stabilizers).  `order_limit` aborts construction with
     _OrderLimitHit as soon as the transversal-size product exceeds it;
-    a chain that finishes under a limit is a complete, valid chain.
+    a chain that finishes under a limit is a complete, valid chain, and it
+    drops the limit, so `adjoin` may grow it past it.
     """
 
     def __init__(self, degree: int, gen_tables: Sequence[bytes],
@@ -109,6 +110,7 @@ class StabilizerChain:
         for i, b in enumerate(self.base):
             self._extend(i, [b], self._level_gens[i])
         self._complete(len(self.base) - 1)
+        self._limit = None
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
@@ -279,7 +281,7 @@ class PermGroup:
 
     @classmethod
     def from_cycles(cls, degree: int, *cycle_strings: str) -> "PermGroup":
-        return cls([Permutation.from_cycles(s, degree) for s in cycle_strings],
+        return cls([parse_cycles(s, degree) for s in cycle_strings],
                    degree=degree)
 
     @property

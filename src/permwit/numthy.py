@@ -40,6 +40,20 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def pq_hypothesis_failure(p: int, q: int) -> Optional[str]:
+    """Why (p, q) fails the degree-pq nonexistence hypothesis, or None when
+    p < q are primes and p does not divide q-1."""
+    if not (is_prime(p) and is_prime(q)):
+        return f"need primes, got p={p}, q={q}"
+    if p >= q:
+        return f"need p < q, got p={p}, q={q}"
+    if (q - 1) % p == 0:
+        return (f"{p} divides {q}-1 = {q - 1}, so degree {p * q} admits witness "
+                f"groups (p divides phi({p * q}); try: permwit witness {p * q} "
+                f"--prime {p}); nonexistence only holds when p does not divide q-1")
+    return None
+
+
 def euler_phi(n: int) -> int:
     if n < 1:
         raise ValueError(f"euler_phi is undefined for {n}")

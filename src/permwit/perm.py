@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from random import Random
-from typing import Iterable, List, Sequence, Set, Tuple
+from typing import Iterable, List, Set, Tuple
 
 from permwit import kernels
 from permwit.errors import CycleParseError, DegreeMismatch
@@ -65,10 +65,6 @@ class Permutation:
         if not 1 <= degree <= MAX_DEGREE:
             raise ValueError(f"degree must be in 1..{MAX_DEGREE}, got {degree}")
         return cls._from_table(bytes(range(degree)))
-
-    @classmethod
-    def from_cycles(cls, text: str, degree: int) -> "Permutation":
-        return parse_cycles(text, degree)
 
     @property
     def degree(self) -> int:
@@ -188,7 +184,7 @@ class Permutation:
         return self.cycle_string()
 
     def __repr__(self) -> str:
-        return f"Permutation.from_cycles({self.cycle_string()!r}, degree={self.degree})"
+        return f"parse_cycles({self.cycle_string()!r}, {self.degree})"
 
 
 def parse_cycles(text: str, degree: int) -> Permutation:
@@ -244,23 +240,6 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not saw_cycle:
         raise CycleParseError("empty input; the identity is written '()'", 0)
     return Permutation._from_table(bytes(table))
-
-
-def orbit(point: int, gens: Sequence[Permutation]) -> frozenset:
-    """Smallest set of points containing `point` and closed under all gens."""
-    gens = list(gens)
-    degree = gens[0].degree if gens else None
-    for g in gens:
-        if g.degree != degree:
-            raise DegreeMismatch("orbit generators must share a degree")
-    if degree is not None and not 1 <= point <= degree:
-        raise ValueError(f"point {point} out of range 1..{degree}")
-    if point < 1:
-        raise ValueError(f"point {point} out of range")
-    if not gens:
-        return frozenset({point})
-    reached = kernels.orbit(point - 1, [g.table for g in gens])
-    return frozenset(x + 1 for x in reached)
 
 
 def random_permutation(degree: int, rng: Random) -> Permutation:

@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 
 from permwit.errors import BudgetExceeded, HypothesisError
 from permwit.group import ENUMERATION_BUDGET, PermGroup, StabilizerChain
-from permwit.numthy import is_prime
+from permwit.numthy import pq_hypothesis_failure
 from permwit.perm import MAX_DEGREE, Permutation, random_permutation
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.witness import verify_candidate
@@ -83,15 +83,9 @@ def _check_hypothesis(p: int, q: int) -> None:
     if max(p, q) > MAX_DEGREE:  # before is_prime's trial division
         raise HypothesisError(
             f"p and q must be at most {MAX_DEGREE}, got p={p}, q={q}")
-    if not (is_prime(p) and is_prime(q)):
-        raise HypothesisError(f"need primes, got p={p}, q={q}")
-    if p >= q:
-        raise HypothesisError(f"need p < q, got p={p}, q={q}")
-    if (q - 1) % p == 0:
-        raise HypothesisError(
-            f"{p} divides {q}-1 = {q - 1}, so degree {p * q} admits witness "
-            f"groups (p divides phi({p * q}); try: permwit witness {p * q} "
-            f"--prime {p}); nonexistence only holds when p does not divide q-1")
+    failure = pq_hypothesis_failure(p, q)
+    if failure is not None:
+        raise HypothesisError(failure)
     if q > EXACT_LIMIT:
         raise BudgetExceeded(
             f"refutation needs the exact census, available for q <= {EXACT_LIMIT}")

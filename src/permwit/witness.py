@@ -17,7 +17,7 @@ element).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from permwit.errors import DegreeMismatch, HypothesisError, PermwitError
@@ -42,7 +42,8 @@ class VerificationReport:
         return all(c.ok for c in self.clauses.values())
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {"clauses": {name: dict(vars(c)) for name, c in self.clauses.items()},
+                "passed": self.passed}
 
 
 @dataclass

@@ -25,7 +25,7 @@ from permwit.errors import (
     PermwitError,
 )
 from permwit.group import PermGroup, is_normal
-from permwit.numthy import is_prime
+from permwit.numthy import is_prime, pq_hypothesis_failure
 from permwit.perm import Permutation
 
 
@@ -352,11 +352,9 @@ def check_index2(a_group: PermGroup, b_group: PermGroup, p: int, q: int) -> Inde
     """For block-diagonal A with transitive block projections and normal B:
     whenever p divides [A:B], q must divide it too (p < q primes, p not
     dividing q-1)."""
-    if not (is_prime(p) and is_prime(q) and p < q):
-        raise HypothesisError(f"need primes p < q, got p={p}, q={q}")
-    if (q - 1) % p == 0:
-        raise HypothesisError(f"{p} divides {q}-1; the divisibility claim "
-                              f"does not apply")
+    failure = pq_hypothesis_failure(p, q)
+    if failure is not None:
+        raise HypothesisError(failure)
     parts = _block_parts(a_group, q)
     for i in range(1, a_group.degree // q + 1):
         if not PermGroup([w.base[i - 1] for w in parts], degree=q).is_transitive():

@@ -532,6 +532,19 @@ def test_order_limit_abort_is_exact(seed):
         assert group.order() == order
 
 
+def test_bounded_chain_grows_past_its_limit():
+    # a chain that order_exceeds built under a limit is complete, so
+    # adjoin may grow it past that limit
+    c3 = parse_cycles("(1 2 3)", 5).table
+    c5 = parse_cycles("(1 2 3 4 5)", 5).table
+    group = PermGroup.from_cycles(5, "(1 2 3)")
+    assert not group.order_exceeds(3)
+    assert group.chain.adjoin(c5)
+    assert group.chain.order() == StabilizerChain(5, [c3, c5]).order() == 60
+    a5 = kernels.close_elements(5, [c3, c5], 60)
+    assert len(a5) == 60 and all(map(group.chain.contains, a5))
+
+
 def assert_representatives_are_valid(chain, in_group):
     # each representative lies in the group, maps its base point to its
     # orbit point and fixes every earlier base point

@@ -1,7 +1,7 @@
 """Source hygiene: every name a module imports is used in that module,
 every function, method and class the package defines is referenced
-somewhere in the package, its tests or its benchmark, and no module
-function only forwards to another spelling of the same operation."""
+somewhere in the package, its tests or its benchmark, and no function
+or method only forwards to another spelling of the same operation."""
 
 import ast
 from pathlib import Path
@@ -82,21 +82,30 @@ def test_every_export_exists():
     assert missing == [], f"permwit.__all__ names missing attributes: {missing}"
 
 
+def _returned(func: ast.FunctionDef):
+    """The returned expression and the parameter names of a function whose
+    body, after an optional docstring, is one `return`; (None, params)
+    otherwise."""
+    body = func.body
+    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return None, params
+    return body[0].value, params
+
+
 def _only_forwards(func: ast.FunctionDef) -> bool:
     """True iff the body, after an optional docstring, is one `return` of a
     parameter's attribute, of a binary operator on two parameters, or of a
     parameter's method called with parameters only."""
-    body = func.body
-    if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
-        body = body[1:]
-    if len(body) != 1 or not isinstance(body[0], ast.Return):
+    value, params = _returned(func)
+    if value is None:
         return False
-    params = {a.arg for a in func.args.posonlyargs + func.args.args + func.args.kwonlyargs}
 
     def is_param(node):
         return isinstance(node, ast.Name) and node.id in params
 
-    value = body[0].value
     if isinstance(value, ast.Call):
         if not all(is_param(a) for a in value.args + [k.value for k in value.keywords]):
             return False
@@ -113,3 +122,22 @@ def test_no_forwarding_functions():
                       for node in _parse(path).body
                       if isinstance(node, ast.FunctionDef) and _only_forwards(node))
     assert forwards == [], f"functions that only forward: {forwards}"
+
+
+def _only_calls_a_function(func: ast.FunctionDef) -> bool:
+    """True iff the body, after an optional docstring, is one `return` of a
+    plain function name, not a parameter, called with parameters only."""
+    value, params = _returned(func)
+    return (isinstance(value, ast.Call)
+            and isinstance(value.func, ast.Name) and value.func.id not in params
+            and all(isinstance(a, ast.Name) and a.id in params
+                    for a in value.args + [k.value for k in value.keywords]))
+
+
+def test_no_functions_that_only_call_a_function():
+    # a function or method whose whole body is a call of another function
+    # on its own arguments is a second spelling of that function
+    wrappers = sorted(f"{path.name}:{node.name}" for path in MODULES
+                      for node in ast.walk(_parse(path))
+                      if isinstance(node, ast.FunctionDef) and _only_calls_a_function(node))
+    assert wrappers == [], f"functions that only call another function: {wrappers}"

@@ -5,7 +5,7 @@ from random import Random
 import pytest
 
 from permwit import kernels
-from permwit.perm import Permutation
+from permwit.perm import Permutation, parse_cycles
 from permwit.wreath import WreathElement
 
 KERNEL_NAMES = ("compose", "inverse", "orbit", "close_elements", "conjugacy_orbit")
@@ -64,7 +64,7 @@ def _close(degree, gens, limit=10**6):
 
 
 def _table(cycles, degree):
-    return Permutation.from_cycles(cycles, degree).table
+    return parse_cycles(cycles, degree).table
 
 
 def _extension_cases():
@@ -134,10 +134,10 @@ def _bfs_close(degree, gens):
 def _closure_cases():
     # D5 wr C3 at degree 15, of order 10^3 * 3
     ident5 = Permutation.identity(5)
-    wreath = [WreathElement(top=Permutation.from_cycles("(1 2 3)", 3),
-                            base=(Permutation.from_cycles("(1 2 3 4 5)", 5), ident5, ident5)),
+    wreath = [WreathElement(top=parse_cycles("(1 2 3)", 3),
+                            base=(parse_cycles("(1 2 3 4 5)", 5), ident5, ident5)),
               WreathElement(top=Permutation.identity(3),
-                            base=(Permutation.from_cycles("(2 5)(3 4)", 5), ident5, ident5))]
+                            base=(parse_cycles("(2 5)(3 4)", 5), ident5, ident5))]
     wreath = [w.as_permutation().table for w in wreath]
     return {
         "trivial": (5, []),

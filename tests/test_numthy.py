@@ -2,14 +2,20 @@ import math
 
 import pytest
 
+from permwit.census import verify_lemma_pq
+from permwit.errors import HypothesisError
+from permwit.group import PermGroup
 from permwit.numthy import (
     euler_phi,
     factorize,
     is_prime,
     mult_order,
+    pq_hypothesis_failure,
     primitive_root,
     unit_of_order,
 )
+from permwit.refute import refute
+from permwit.wreath import check_index2
 
 
 def phi_by_counting(n):
@@ -107,3 +113,25 @@ def test_primitive_root():
         assert mult_order(g, q) == q - 1
     with pytest.raises(ValueError):
         primitive_root(8)
+
+
+def test_pq_hypothesis_failure_matches_definition():
+    for p in range(1, 41):
+        for q in range(1, 41):
+            holds = is_prime(p) and is_prime(q) and p < q and (q - 1) % p != 0
+            assert (pq_hypothesis_failure(p, q) is None) == holds
+
+
+@pytest.mark.parametrize("p, q", [(2, 5), (3, 7), (4, 7), (5, 3)])
+def test_hypothesis_checks_share_one_message(p, q):
+    # refute, the census divisibility sweep and the index-2 check all raise
+    # the one message of pq_hypothesis_failure
+    expected = pq_hypothesis_failure(p, q)
+    assert expected is not None
+    trivial = PermGroup.trivial(p * q)
+    for check in (lambda: refute(p, q, samples=0, seed=1),
+                  lambda: verify_lemma_pq(q, p, []),
+                  lambda: check_index2(trivial, trivial, p, q)):
+        with pytest.raises(HypothesisError) as caught:
+            check()
+        assert str(caught.value) == expected

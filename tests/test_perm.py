@@ -4,12 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permwit.errors import CycleParseError, DegreeMismatch
-from permwit.perm import (
-    Permutation,
-    orbit,
-    parse_cycles,
-    random_permutation,
-)
+from permwit.group import PermGroup
+from permwit.perm import Permutation, parse_cycles, random_permutation
 
 
 def perm(text, degree):
@@ -202,27 +198,27 @@ class TestParsePrint:
 
 class TestOrbit:
     def test_no_generators(self):
-        assert orbit(1, []) == {1}
+        assert PermGroup.trivial(1).orbit_of(1) == {1}
 
     def test_full_cycle_is_transitive(self):
         for n in (1, 2, 6, 13):
             gens = [parse_cycles(f"({' '.join(map(str, range(1, n + 1)))})", n)
                     if n > 1 else Permutation.identity(1)]
-            assert orbit(1, gens) == set(range(1, n + 1))
+            assert PermGroup(gens).orbit_of(1) == set(range(1, n + 1))
 
     def test_degree_six_pair(self):
-        gens = [perm("(1 3 5)(2 4 6)", 6), perm("(2 6)(3 5)", 6)]
-        assert orbit(1, gens) == {1, 3, 5}
-        assert orbit(2, gens) == {2, 4, 6}
+        group = PermGroup([perm("(1 3 5)(2 4 6)", 6), perm("(2 6)(3 5)", 6)])
+        assert group.orbit_of(1) == {1, 3, 5}
+        assert group.orbit_of(2) == {2, 4, 6}
 
     def test_orbits_partition_points(self):
         rng = Random(5)
         for _ in range(30):
             n = rng.randint(1, 15)
-            gens = [random_permutation(n, rng) for _ in range(2)]
+            group = PermGroup([random_permutation(n, rng) for _ in range(2)])
             seen = set()
             for point in range(1, n + 1):
-                orb = orbit(point, gens)
+                orb = group.orbit_of(point)
                 assert point in orb
                 if point in seen:
                     assert orb <= seen
@@ -233,7 +229,7 @@ class TestOrbit:
 
     def test_mismatched_generators(self):
         with pytest.raises(DegreeMismatch):
-            orbit(1, [perm("(1 2)", 2), perm("(1 2)", 3)])
+            PermGroup([perm("(1 2)", 2), perm("(1 2)", 3)]).orbit_of(1)
 
 
 class TestMisc:

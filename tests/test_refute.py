@@ -9,7 +9,7 @@ import pytest
 import permwit.refute as refute_module
 from permwit import kernels
 from permwit.group import ENUMERATION_BUDGET, PermGroup
-from permwit.perm import Permutation
+from permwit.perm import Permutation, parse_cycles
 from permwit.refute import _analyze_sample
 from permwit.witness import construct_witness, verify_candidate
 from permwit.wreath import WreathElement
@@ -52,8 +52,8 @@ def count_sample_lattices(monkeypatch):
 
 
 def test_one_group_drawn_twice_is_analysed_once(monkeypatch):
-    ident, r, s = (Permutation.from_cycles(c, 5) for c in ("()", "(1 2 3 4 5)", "(2 5)(3 4)"))
-    top, one = Permutation.from_cycles("(1 2 3)", 3), Permutation.identity(3)
+    ident, r, s = (parse_cycles(c, 5) for c in ("()", "(1 2 3 4 5)", "(2 5)(3 4)"))
+    top, one = parse_cycles("(1 2 3)", 3), Permutation.identity(3)
     # two generating sets of D5 wr C3
     first = [WreathElement(top=top, base=(ident, ident, ident)).as_permutation(),
              WreathElement(top=one, base=(r, ident, ident)).as_permutation(),
