@@ -367,13 +367,12 @@ def verify_wielandt(entry: CensusEntry) -> WielandtReport:
     if not entry.is_simple:
         return WielandtReport(order=entry.order, applicable=False)
     normalizer = entry.normalizer
-    n_order = normalizer.order()
-    index = n_order // entry.order
+    index = entry.normalizer_index
     table = quotient(normalizer, entry.group)
     return WielandtReport(
         order=entry.order,
         applicable=True,
-        normalizer_order=n_order,
+        normalizer_order=normalizer.order(),
         normalizer_index=index,
         index_divides_q_minus_1=(entry.q - 1) % index == 0,
         quotient_cyclic=is_cyclic(table),

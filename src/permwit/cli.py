@@ -20,7 +20,7 @@ import sys
 import time
 from typing import Optional
 
-from permwit.census import census_report
+from permwit.census import EXACT_LIMIT, census_report
 from permwit.errors import PermwitError
 from permwit.groupfile import parse_multi_group_file
 from permwit.refute import refute
@@ -48,16 +48,28 @@ def _info(message: str) -> None:
 
 
 def _witness_unavailable_message(n: int) -> str:
-    factors = factorize(n)
-    if len(factors) == 2 and factors[0][1] == 1 and factors[1][1] == 1:
-        p, q = factors[0][0], factors[1][0]
-        if pq_hypothesis_failure(p, q) is None:
-            return (f"no prime divides both {n} and phi({n}); moreover "
-                    f"{n} = {p}*{q} with {p} not dividing {q}-1, so no witness "
-                    f"of degree {n} exists at all (see: permwit refute {p} {q})")
-    return (f"no prime divides both {n} and phi({n}), so the constructive "
-            f"route does not apply; whether degree {n} admits a witness is "
-            f"unknown to this tool")
+    head = (f"no prime divides both {n} and phi({n}), so the constructive "
+            f"route does not apply; ")
+    # squarefree: a prime whose square divides n also divides phi(n)
+    primes = [p for p, _ in factorize(n)]
+    if len(primes) == 1:
+        return head + (f"no witness of degree {n} exists, since {n} is prime: "
+                       f"a normal subgroup of a transitive group of prime degree "
+                       f"is transitive or trivial, so N2 would be trivial and "
+                       f"[G:N2] = |G| > [G:N1]")
+    if len(primes) == 2 and pq_hypothesis_failure(*primes) is None:
+        p, q = primes
+        pq = f"{n} = {p}*{q} with {p} not dividing {q}-1, so "
+        if q <= EXACT_LIMIT:
+            return head + pq + (f"no witness of degree {n} exists at all "
+                                f"(see: permwit refute {p} {q})")
+        return head + pq + (f"by the paper's theorem no witness of degree {n} "
+                            f"exists; this tool's machine evidence covers only "
+                            f"q <= {EXACT_LIMIT}")
+    return head + (f"{n} = {'*'.join(map(str, primes))} is squarefree with "
+                   f"{len(primes)} prime factors, a case neither the construction "
+                   f"nor the nonexistence theorem covers, so whether degree {n} "
+                   f"admits a witness is open")
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -169,10 +181,7 @@ def main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PermwitError as exc:
-        _info(f"error: {exc}")
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
+    except (PermwitError, OSError) as exc:
         _info(f"error: {exc}")
         return EXIT_INPUT_ERROR
 

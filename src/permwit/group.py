@@ -170,17 +170,19 @@ class StabilizerChain:
             inv_rep = self._inverses[i][x] = bytes.maketrans(rep, self._ident)
         return inv_rep
 
-    def _sift_from(self, start: int, table: bytes) -> Tuple[bytes, int]:
+    def _sift_from(self, start: int, table: bytes) -> bytes:
+        # table sifted from level start, up to the first level whose orbit
+        # misses its base image; the identity iff table lies in the chain's group
         for i in range(start, len(self.base)):
             x = table[self.base[i]]
             # the kept inverse, else inverse_rep makes it (None off the orbit)
             inv_rep = self._inverses[i].get(x) or self.inverse_rep(i, x)
             if inv_rep is None:
-                return table, i
+                return table
             table = table.translate(inv_rep)
-        return table, len(self.base)
+        return table
 
-    def sift(self, table: bytes) -> Tuple[bytes, int]:
+    def sift(self, table: bytes) -> bytes:
         return self._sift_from(0, table)
 
     def adjoin(self, table: bytes) -> bool:
@@ -216,7 +218,7 @@ class StabilizerChain:
             sg = trans[x].translate(s).translate(inv)
             if sg == ident:
                 continue
-            residue, _ = self._sift_from(i + 1, sg)
+            residue = self._sift_from(i + 1, sg)
             if residue == ident:
                 continue
             j = self._cover(residue)  # where it stopped sifting, or a new level
@@ -228,8 +230,7 @@ class StabilizerChain:
         return math.prod(len(t) for t in self.transversals)
 
     def contains(self, table: bytes) -> bool:
-        residue, _ = self._sift_from(0, table)
-        return residue == self._ident
+        return self._sift_from(0, table) == self._ident
 
     def stabilizer_gens(self, k: int) -> List[bytes]:
         """Level k's strong generators, which generate the pointwise

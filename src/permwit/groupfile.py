@@ -1,16 +1,16 @@
-"""The on-disk group format.
+"""The on-disk group format, read by `verify` and `embed`.
+
+A file holds three sections, G, N1 and N2, separated by lines
+containing only `---`.  Each section reads
 
     # optional comments
     degree: 6
     (1 2 3 4 5 6)
     (2 6)(3 5)
 
-Line 1 (after comments/blanks) declares the degree; each following
-nonempty line is one generator in cycle notation.  `#` starts a comment
-anywhere.  Output is canonical: generators in input order.
-
-Multi-group files (used by `verify` and `embed`) hold three sections,
-G, N1 and N2, separated by lines containing only `---`.
+Its first line (after comments/blanks) declares the degree; each
+following nonempty line is one generator in cycle notation.  `#` starts
+a comment anywhere.
 """
 
 from __future__ import annotations
@@ -61,10 +61,6 @@ def _parse_section(lines: List[Tuple[int, str]]) -> PermGroup:
     return PermGroup(gens, degree=degree)
 
 
-def parse_group_text(text: str) -> PermGroup:
-    return _parse_section(_content_lines(text))
-
-
 def parse_multi_group_text(text: str) -> List[PermGroup]:
     sections: List[List[Tuple[int, str]]] = [[]]
     for lineno, line in _content_lines(text):
@@ -90,19 +86,6 @@ def _read_text(path: str) -> str:
             f"file is not UTF-8 text (byte {exc.start}: {exc.reason})", line) from exc
 
 
-def parse_group_file(path: str) -> PermGroup:
-    return parse_group_text(_read_text(path))
-
-
 def parse_multi_group_file(path: str) -> List[PermGroup]:
     return parse_multi_group_text(_read_text(path))
 
-
-def format_group(group: PermGroup) -> str:
-    lines = [f"degree: {group.degree}"]
-    lines.extend(g.cycle_string() for g in group.generators)
-    return "\n".join(lines) + "\n"
-
-
-def format_groups(groups: List[PermGroup]) -> str:
-    return "---\n".join(format_group(g) for g in groups)

@@ -151,25 +151,11 @@ class Permutation:
             self._text = "".join(out) or "()"
         return self._text
 
-    def cycle_type(self) -> Tuple[int, ...]:
-        """Multiset of cycle lengths, fixed points included, ascending."""
-        lengths = [len(c) for c in self.cycles()]
-        lengths.extend([1] * (self.degree - sum(lengths)))
-        return tuple(sorted(lengths))
-
     def order(self) -> int:
         return math.lcm(*(len(c) for c in self.cycles()))
 
     def fixed_points(self) -> Tuple[int, ...]:
         return tuple(k + 1 for k, v in enumerate(self._table) if v == k)
-
-    def extended_to(self, degree: int) -> "Permutation":
-        """Pad with fixed points up to a larger degree."""
-        if degree < self.degree:
-            raise ValueError(f"cannot shrink degree {self.degree} to {degree}")
-        if degree > MAX_DEGREE:
-            raise ValueError(f"degree must be at most {MAX_DEGREE}")
-        return Permutation._from_table(self._table + bytes(range(self.degree, degree)))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Permutation) and self._table == other._table

@@ -184,7 +184,6 @@ class Embedding:
     q: int
     relabel: Permutation
     image_map: Tuple[Tuple[Permutation, WreathElement], ...]
-    n2_images: Tuple[WreathElement, ...]
     conditions: EmbeddingConditions
 
     def apply(self, g: Permutation) -> WreathElement:
@@ -248,20 +247,19 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
                 f"block system: {exc}") from exc
 
     image_map = tuple((g, image_of(g, "G")) for g in g_group.generators)
-    n2_images = tuple(image_of(g, "N2") for g in n2.generators)
+    n2_wreath = tuple(image_of(g, "N2") for g in n2.generators)
 
     conditions = EmbeddingConditions(
         n1_transitive_on_pairs=PermGroup(
             [g.conjugate(relabel) for g in n1.generators], degree=p * q
         ).is_transitive(),
-        n2_in_top_kernel=all(w.top.is_identity() for w in n2_images),
+        n2_in_top_kernel=all(w.top.is_identity() for w in n2_wreath),
         n2_projections_transitive=tuple(
-            PermGroup([w.base[i0] for w in n2_images], degree=q).is_transitive()
+            PermGroup([w.base[i0] for w in n2_wreath], degree=q).is_transitive()
             for i0 in range(p)),
     )
     return Embedding(block_system=blocks, p=p, q=q, relabel=relabel,
-                     image_map=image_map, n2_images=n2_images,
-                     conditions=conditions)
+                     image_map=image_map, conditions=conditions)
 
 
 def _block_parts(group: PermGroup, q: int) -> List[WreathElement]:

@@ -90,6 +90,16 @@ class TestCensusCounts:
         assert simple5 == {5, 60}
         assert simple7 == {7, 168, 2520}
 
+    def test_normal_subgroups_transitive_or_trivial(self, census5, census7):
+        # the premise of the no-witness claim at prime degree: every normal
+        # subgroup of a transitive group of prime degree is transitive or trivial
+        for entries in (census(2), census(3), census5, census7):
+            for e in entries:
+                orders = [sub.order for sub in e.normal_subgroups]
+                assert orders[0] == 1 and orders[-1] == e.order
+                for sub in e.normal_subgroups[1:]:
+                    assert sub.group.is_transitive(), (e.q, e.order, sub.order)
+
     def test_out_of_budget(self):
         with pytest.raises(BudgetExceeded, match="q <= 7"):
             census(11)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,8 +13,9 @@ import pytest
 import permwit.witness as witness_module
 from permwit.cli import main
 from permwit.group import PermGroup
-from permwit.groupfile import format_groups
-from permwit.witness import construct_witness
+from permwit.witness import construct_witness, valid_primes
+
+from groupfiles import format_groups
 
 
 def run_cli(capsys, *argv):
@@ -53,7 +55,10 @@ class TestWitnessCommand:
     def test_unknown_degree_message(self, capsys):
         code, _, err = run_cli(capsys, "witness", "7")
         assert code == 2
-        assert "unknown" in err
+        assert "no witness of degree 7 exists, since 7 is prime" in err
+        code, _, err = run_cli(capsys, "witness", "255")
+        assert code == 2
+        assert "255 = 3*5*17" in err and "is open" in err
 
     def test_invalid_prime_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "witness", "9", "--prime", "5")
@@ -64,6 +69,35 @@ class TestWitnessCommand:
         code, payload, err = run_cli(capsys, "witness", n)
         assert code == 2 and payload is None
         assert err.startswith("error:")
+
+
+# the phrase that names each route for a degree with no valid prime
+ROUTE_PHRASES = {
+    "prime": "is prime: a normal subgroup",
+    "census": "(see: permwit refute",
+    "theorem": "by the paper's theorem",
+    "open": "is open",
+}
+
+
+def test_every_degree_has_a_route(capsys):
+    # each degree 2..256 is constructive or names exactly one route, and
+    # every refute command a message names runs
+    routes = Counter()
+    for n in range(2, 257):
+        if valid_primes(n):
+            routes["constructive"] += 1
+            continue
+        code, payload, err = run_cli(capsys, "witness", str(n))
+        assert code == 2 and payload is None
+        named = [route for route, phrase in ROUTE_PHRASES.items() if phrase in err]
+        assert len(named) == 1, (n, err)
+        routes[named[0]] += 1
+        for p, q in re.findall(r"permwit refute (\d+) (\d+)", err):
+            assert main(["refute", p, q, "--samples", "0"]) == 0, (n, err)
+            capsys.readouterr()
+    assert routes == {"constructive": 169, "prime": 54, "census": 2,
+                      "theorem": 29, "open": 1}
 
 
 class TestVerifyCommand:

@@ -2,23 +2,25 @@ import pytest
 
 from permwit.errors import GroupFileError
 from permwit.group import PermGroup
-from permwit.groupfile import (
-    format_group,
-    format_groups,
-    parse_group_file,
-    parse_group_text,
-    parse_multi_group_file,
-    parse_multi_group_text,
-)
+from permwit.groupfile import parse_multi_group_file, parse_multi_group_text
+
+from groupfiles import format_groups
+
+# two trivial sections after the one under test make a three-group file
+TRIVIAL_TAIL = "\n---\ndegree: 1\n---\ndegree: 1\n"
+
+
+def parse_first(text):
+    return parse_multi_group_text(text + TRIVIAL_TAIL)[0]
 
 
 def test_round_trip_is_canonical():
     g = PermGroup.from_cycles(6, "(1 2 3 4 5 6)", "(2 6)(3 5)")
-    text = format_group(g)
+    text = format_groups([g])
     assert text == "degree: 6\n(1 2 3 4 5 6)\n(2 6)(3 5)\n"
-    again = parse_group_text(text)
+    again = parse_first(text)
     assert again.generators == g.generators
-    assert format_group(again) == text
+    assert format_groups([again]) == text
 
 
 def test_comments_and_blank_lines_ignored():
@@ -29,35 +31,35 @@ def test_comments_and_blank_lines_ignored():
     (1 2 3 4 5 6)  # the full cycle
     (2 6)(3 5)
     """
-    g = parse_group_text(text)
+    g = parse_first(text)
     assert g.degree == 6 and len(g.generators) == 2
 
 
 def test_trivial_group_file():
-    g = parse_group_text("degree: 4\n")
+    g = parse_first("degree: 4\n")
     assert g.order() == 1 and g.degree == 4
 
 
 def test_missing_degree_line():
     with pytest.raises(GroupFileError, match="degree"):
-        parse_group_text("(1 2)\n")
+        parse_first("(1 2)\n")
 
 
 def test_degree_above_maximum_reports_line():
     with pytest.raises(GroupFileError, match="at most 256") as info:
-        parse_group_text("# big\ndegree: 257\n")
+        parse_first("# big\ndegree: 257\n")
     assert info.value.line == 2
-    assert parse_group_text("degree: 256\n").degree == 256
+    assert parse_first("degree: 256\n").degree == 256
 
 
 def test_bad_generator_reports_line():
     with pytest.raises(GroupFileError, match="line 3"):
-        parse_group_text("degree: 4\n(1 2)\n(3 9)\n")
+        parse_first("degree: 4\n(1 2)\n(3 9)\n")
 
 
 def test_empty_file():
     with pytest.raises(GroupFileError, match="empty"):
-        parse_group_text("# nothing here\n")
+        parse_first("# nothing here\n")
 
 
 def test_multi_group_round_trip():
@@ -76,10 +78,9 @@ def test_multi_group_wrong_count():
         parse_multi_group_text("degree: 2\n(1 2)\n")
 
 
-@pytest.mark.parametrize("parse", [parse_group_file, parse_multi_group_file])
-def test_non_utf8_file_reports_line(tmp_path, parse):
+def test_non_utf8_file_reports_line(tmp_path):
     path = tmp_path / "bad.grp"
     path.write_bytes(b"degree: 3\n(1 2 \xff3)\n")
     with pytest.raises(GroupFileError) as info:
-        parse(str(path))
+        parse_multi_group_file(str(path))
     assert info.value.line == 2

@@ -141,3 +141,40 @@ def test_no_functions_that_only_call_a_function():
                       for node in ast.walk(_parse(path))
                       if isinstance(node, ast.FunctionDef) and _only_calls_a_function(node))
     assert wrappers == [], f"functions that only call another function: {wrappers}"
+
+
+# module-level functions kept without a caller on purpose, with the reason
+UNREACHED_ON_PURPOSE = {
+    "wreath.py:check_index2": "ROADMAP item 2 puts it on refute's evidence path",
+}
+
+
+def test_every_module_function_is_reached():
+    # from the names the commands, the public API, the acceptance suite and
+    # the benchmark use, follow the bodies of the package's module-level
+    # functions and classes by name; a function no path reaches is code
+    # only its own tests keep alive
+    import permwit
+
+    definitions = {}
+    for path in MODULES:
+        for node in _parse(path).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                definitions.setdefault(node.name, []).append((path.name, node))
+    roots = [SRC / "cli.py", ROOT / "tests" / "test_acceptance.py",
+             *sorted((ROOT / "perfbench").glob("*.py"))]
+    pending = set(permwit.__all__)
+    for path in roots:
+        pending.update(_mentioned_names(_parse(path)))
+    reached = set()
+    while pending:
+        for module, node in definitions.get(pending.pop(), ()):
+            if (module, node.name) not in reached:
+                reached.add((module, node.name))
+                pending.update(_mentioned_names(node))
+    unreached = sorted(f"{module}:{name}" for name, defs in definitions.items()
+                       for module, node in defs
+                       if isinstance(node, ast.FunctionDef)
+                       and (module, name) not in reached)
+    assert unreached == sorted(UNREACHED_ON_PURPOSE), \
+        f"module functions no command, export, acceptance test or benchmark reaches: {unreached}"

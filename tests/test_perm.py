@@ -87,7 +87,8 @@ class TestConjugate:
             n = rng.randint(2, 20)
             g = random_permutation(n, rng)
             h = random_permutation(n, rng)
-            assert g.conjugate(h).cycle_type() == g.cycle_type()
+            lengths = sorted(len(c) for c in g.cycles())
+            assert sorted(len(c) for c in g.conjugate(h).cycles()) == lengths
 
     def test_commutes_with_power(self):
         rng = Random(12)
@@ -102,7 +103,7 @@ class TestConjugate:
 class TestPower:
     def test_nine_cycle_power_coprime_is_nine_cycle(self):
         tau = perm("(1 2 3 4 5 6 7 8 9)", 9)
-        assert (tau ** 4).cycle_type() == (9,)
+        assert [len(c) for c in (tau ** 4).cycles()] == [9]
 
     def test_zeroth_power(self):
         assert (perm("(1 5)(2 3)", 5) ** 0).is_identity()
@@ -233,12 +234,6 @@ class TestOrbit:
 
 
 class TestMisc:
-    def test_extended_to_pads_fixed_points(self):
-        g = perm("(1 2 3)", 3).extended_to(7)
-        assert g.degree == 7
-        assert g.cycle_string() == "(1 2 3)"
-        assert g.fixed_points() == (4, 5, 6, 7)
-
     def test_call_out_of_range(self):
         with pytest.raises(ValueError):
             perm("(1 2)", 2)(3)
