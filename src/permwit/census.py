@@ -489,7 +489,7 @@ def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
             for n_sub in entry.normal_subgroups:
                 if n_sub.order == 1:
                     continue
-                if not all(n_sub.group.contains(g) for g in h_sub.group.generators):
+                if h_sub.mask & ~n_sub.mask:
                     failures.append({
                         "G_order": entry.order,
                         "H_order": h_sub.order,

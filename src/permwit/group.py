@@ -343,21 +343,13 @@ class PermGroup:
         return len(kernels.orbit(0, self._tables)) == self._degree
 
     def is_2_transitive(self) -> bool:
-        """True iff the action on ordered pairs of distinct points is transitive."""
+        """True iff the chain's first level holds all n points and its second,
+        the stabilizer of base[0], the other n - 1 (a missing level holds 1)."""
         n = self._degree
         if n < 2:
             raise ValueError("2-transitivity needs degree >= 2")
-        start = (0, 1)
-        seen = {start}
-        stack = [start]
-        while stack:
-            a, b = stack.pop()
-            for g in self._tables:
-                pair = (g[a], g[b])
-                if pair not in seen:
-                    seen.add(pair)
-                    stack.append(pair)
-        return len(seen) == n * (n - 1)
+        sizes = [len(t) for t in self.chain.transversals] + [1, 1]
+        return sizes[0] == n and sizes[1] == n - 1
 
     def element_tables(self) -> List[bytes]:
         if self._elements is None:
@@ -533,7 +525,7 @@ class PermGroup:
             group = PermGroup([Permutation._from_table(t) for t in gens],
                               degree=self._degree)
             entries.append(NormalSubgroup(group=group, order=orders[mask],
-                                          index=total // orders[mask]))
+                                          index=total // orders[mask], mask=mask))
         entries.sort(key=lambda e: (e.order,
                                     tuple(sorted(g.table for g in e.group.generators))))
         self._normals = tuple(entries)
@@ -549,6 +541,7 @@ class NormalSubgroup:
     group: PermGroup
     order: int
     index: int
+    mask: int  # bit i: the i-th class of the listing group's conjugacy_classes()
 
 
 def is_normal(n_group: PermGroup, g_group: PermGroup) -> bool:

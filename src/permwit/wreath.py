@@ -339,7 +339,6 @@ class Index2Report:
     index: int
     p_divides: bool
     q_divides: bool
-    decomposition: IndexDecomposition
 
     @property
     def passed(self) -> bool:
@@ -347,9 +346,9 @@ class Index2Report:
 
 
 def check_index2(a_group: PermGroup, b_group: PermGroup, p: int, q: int) -> Index2Report:
-    """For block-diagonal A with transitive block projections and normal B:
-    whenever p divides [A:B], q must divide it too (p < q primes, p not
-    dividing q-1)."""
+    """For block-diagonal A with transitive block projections and B normal in
+    A (p < q primes, p not dividing q-1): whenever p divides [A:B] = |A|/|B|,
+    q must divide it too.  A B outside A raises NotASubgroup."""
     failure = pq_hypothesis_failure(p, q)
     if failure is not None:
         raise HypothesisError(failure)
@@ -358,10 +357,10 @@ def check_index2(a_group: PermGroup, b_group: PermGroup, p: int, q: int) -> Inde
         if not PermGroup([w.base[i - 1] for w in parts], degree=q).is_transitive():
             raise HypothesisError(
                 f"projection of A to block {i} is not transitive")
-    decomposition = decompose_index(a_group, b_group, q)
-    index = decomposition.total_index
+    if not is_normal(b_group, a_group):
+        raise HypothesisError("B is not normal in A")
+    index = a_group.order() // b_group.order()
     return Index2Report(
         p=p, q=q, index=index,
         p_divides=index % p == 0,
-        q_divides=index % q == 0,
-        decomposition=decomposition)
+        q_divides=index % q == 0)

@@ -189,6 +189,21 @@ class TestContainment:
         r = verify_contain(7, census7)
         assert r.passed and r.centralizer_of_cycle_order == 7
 
+    def test_mask_inclusion_is_containment(self, census5, census7):
+        # a mask holds the classes of the entry's conjugacy_classes() whose
+        # representative lies in the subgroup, so inclusion of masks is
+        # inclusion of subgroups
+        for entry in census5 + census7:
+            reps = [rep.table for rep, _ in entry.group.conjugacy_classes()]
+            for sub in entry.normal_subgroups:
+                members = set(sub.group.element_tables())
+                assert sub.mask == sum(1 << i for i, rep in enumerate(reps)
+                                       if rep in members)
+            for h_sub in entry.normal_subgroups:
+                for n_sub in entry.normal_subgroups:
+                    assert (not h_sub.mask & ~n_sub.mask) == all(
+                        n_sub.group.contains(g) for g in h_sub.group.generators)
+
     def test_s5_normals_contain_a5(self, census5):
         s5 = next(e for e in census5 if e.order == 120)
         a5 = next(s for s in s5.normal_subgroups if s.order == 60)

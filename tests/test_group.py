@@ -301,7 +301,54 @@ class TestAllNormalSubgroups:
                 assert sub.index * sub.order == total
 
 
+def two_transitive_oracle(group):
+    """Independent oracle: the orbit of the ordered pair (1, 2), walked on
+    the generators, holds all n(n-1) ordered pairs of distinct points."""
+    n = group.degree
+    tables = [g.table for g in group.generators]
+    seen = {(0, 1)}
+    stack = [(0, 1)]
+    while stack:
+        a, b = stack.pop()
+        for g in tables:
+            pair = (g[a], g[b])
+            if pair not in seen:
+                seen.add(pair)
+                stack.append(pair)
+    return len(seen) == n * (n - 1)
+
+
+def classical_groups(n):
+    """S_n, A_n, C_n and D_n on {1..n}, from cycle strings."""
+    full = "(" + " ".join(map(str, range(1, n + 1))) + ")"
+    flip = "".join(f"({i} {n + 1 - i})" for i in range(1, n // 2 + 1))
+    return [PermGroup.from_cycles(n, "(1 2)", full),
+            PermGroup.from_cycles(n, *(f"(1 2 {k})" for k in range(3, n + 1))),
+            PermGroup.from_cycles(n, full),
+            PermGroup.from_cycles(n, full, flip)]
+
+
 class TestTwoTransitivity:
+    def test_matches_pair_orbit_oracle(self):
+        groups = [entry.group for q in (2, 3, 5, 7) for entry in census(q)]
+        groups += [g for n in range(2, 8) for g in classical_groups(n)]
+        groups += [PermGroup.trivial(2), PermGroup.trivial(3)]
+        rng = Random(2024)
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            groups.append(PermGroup([random_permutation(n, rng)
+                                     for _ in range(rng.randint(1, 2))], degree=n))
+        verdicts = [g.is_2_transitive() for g in groups]
+        assert verdicts == [two_transitive_oracle(g) for g in groups]
+        assert 0 < sum(verdicts) < len(groups)
+
+    @pytest.mark.parametrize("n, p", [(6, 2), (9, 3), (21, 3)])
+    def test_witness_groups_are_transitive_not_2_transitive(self, n, p):
+        g = construct_witness(n, p).G
+        assert g.is_transitive()
+        assert not g.is_2_transitive()
+        assert not two_transitive_oracle(g)
+
     def test_s5(self):
         assert PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)").is_2_transitive()
 

@@ -2,8 +2,8 @@ from random import Random
 
 import pytest
 
-from permwit.errors import BlockStructureError, HypothesisError
-from permwit.group import PermGroup, is_normal
+from permwit.errors import BlockStructureError, HypothesisError, NotASubgroup
+from permwit.group import PermGroup, StabilizerChain, is_normal
 from permwit.perm import Permutation, parse_cycles, random_permutation
 from permwit.witness import construct_witness
 from permwit.wreath import (
@@ -304,8 +304,32 @@ class TestIndex2:
         with pytest.raises(HypothesisError, match="not transitive"):
             check_index2(a, PermGroup.trivial(10), 3, 5)
 
-    def test_no_violation_on_random_normal_pairs(self):
-        # q = 5, p = 3 over two or three blocks; every normal pair must pass
+    @pytest.mark.parametrize("b_cycles, error, match", [
+        (("(1 2 3)(6 7 8)", "(3 4 5)(8 9 10)"), HypothesisError, "not normal"),
+        (("(1 6)(2 7)(3 8)(4 9)(5 10)",), NotASubgroup, "not a subgroup"),
+    ])
+    def test_b_rejected(self, b_cycles, error, match):
+        a5sq = PermGroup.from_cycles(10, "(1 2 3)", "(3 4 5)",
+                                     "(6 7 8)", "(8 9 10)")
+        with pytest.raises(error, match=match):
+            check_index2(a5sq, PermGroup.from_cycles(10, *b_cycles), 3, 5)
+
+    def test_no_violation_on_random_normal_pairs(self, monkeypatch):
+        # q = 5, p = 3 over two or three blocks; every normal pair must pass,
+        # with [A:B] read from the two orders: at most the chains of A and
+        # B are built, and no pointwise stabilizer
+        builds = []
+        init = StabilizerChain.__init__
+
+        def counting_init(chain, *args, **kwargs):
+            builds.append(1)
+            init(chain, *args, **kwargs)
+
+        def no_stabilizer(group, points):
+            raise AssertionError("check_index2 built a pointwise stabilizer")
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        monkeypatch.setattr(PermGroup, "pointwise_stabilizer", no_stabilizer)
         seed = 5309
         print(f"index2 random sweep seed: {seed}")
         rng = Random(seed)
@@ -322,6 +346,9 @@ class TestIndex2:
                               degree=q).is_transitive()
                     for i in range(1, nblocks + 1)):
                 continue
+            builds.clear()
             r = check_index2(a, b, 3, 5)
+            assert len(builds) <= 2
             assert r.passed, (a.generators, b.generators)
+            assert r.index == a.order() // b.order()
             checked += 1
