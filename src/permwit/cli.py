@@ -23,7 +23,7 @@ from typing import Optional
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.errors import PermwitError
 from permwit.groupfile import parse_multi_group_file
-from permwit.refute import refute
+from permwit.refute import refute, worker_processes
 from permwit.witness import (
     construct_witness,
     valid_primes,
@@ -132,7 +132,8 @@ def cmd_refute(args: argparse.Namespace) -> int:
     _info(f"refute p={args.p} q={args.q}: {report.verdict} "
           f"({report.samples_tested} samples, "
           f"{report.small_groups_tested} within budget, "
-          f"{report.counterexamples_found} counterexamples) "
+          f"{report.counterexamples_found} counterexamples, "
+          f"{worker_processes(report.samples_tested)} worker processes) "
           f"in {elapsed:.1f}s")
     return EXIT_PASS if report.passed else EXIT_MATH_FAIL
 

@@ -17,7 +17,6 @@ once however many reports print it.
 from __future__ import annotations
 
 import math
-from random import Random
 from typing import Iterable, List, Set, Tuple
 
 from permwit import kernels
@@ -226,10 +225,3 @@ def parse_cycles(text: str, degree: int) -> Permutation:
     if not saw_cycle:
         raise CycleParseError("empty input; the identity is written '()'", 0)
     return Permutation._from_table(bytes(table))
-
-
-def random_permutation(degree: int, rng: Random) -> Permutation:
-    """Uniform random permutation drawn from the supplied RNG."""
-    values = list(range(degree))
-    rng.shuffle(values)
-    return Permutation._from_table(bytes(values))

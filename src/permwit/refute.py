@@ -10,29 +10,47 @@ a seeded randomized search draws generator sets biased toward the
 imprimitive groups any counterexample would have to live in, and feeds
 every transitive sample through the full witness clause checker.
 
-Each group within ENUMERATION_BUDGET is analysed once per run.  A sample
-whose order equals that of a group already analysed, and whose generators
-all lie in that group's stabilizer chain, is the same group and reuses its
-outcome, so a counterexample entry lists the generators of the first
-sample that produced its group.
+The search runs in four phases:
 
-Reports are byte-for-byte deterministic given (p, q, samples, seed);
-the command line times the run and prints the time on stderr only.
+1. Draw: every sample's generator tables, in sample order, from one
+   Random(seed) stream, in this process.
+2. Screen: each sample is intransitive, over ENUMERATION_BUDGET, or small
+   with its order; in worker processes, many samples per task.
+3. Dedupe: in this process, in sample order.  A small sample whose order
+   equals that of a group already listed, and whose generators all lie
+   in that group's stabilizer chain, is the same group; otherwise its
+   group is listed.  Chains are built only for small samples.
+4. Analyse: each listed group once, in worker processes, one group per
+   task, since their costs are very uneven; then each small sample adds
+   its group's outcome to the report, in sample order.  A counterexample
+   entry lists the generators of the first sample that produced its
+   group.
+
+There is one worker process per CPU this process may run on, forked; with
+one CPU, no fork or no sample, the same functions run in process.  Every
+worker function depends on its input alone, results come back in input
+order, and all that depends on order (the draw, the dedupe and the sums)
+runs in this process, so the report cannot depend on the number of
+workers or on which finishes first.  Reports are byte-for-byte
+deterministic given (p, q, samples, seed); the command line times the
+run and prints the time and the worker count on stderr only.
 """
 
 from __future__ import annotations
 
+import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, Iterator, List, Optional
 
 from permwit.errors import BudgetExceeded, HypothesisError
-from permwit.group import ENUMERATION_BUDGET, PermGroup, StabilizerChain
+from permwit.group import ENUMERATION_BUDGET, PermGroup
 from permwit.numthy import pq_hypothesis_failure
-from permwit.perm import MAX_DEGREE, Permutation, random_permutation
+from permwit.perm import MAX_DEGREE, Permutation
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.witness import verify_candidate
-from permwit.wreath import WreathElement
+from permwit.wreath import wreath_table
 
 METHOD = (
     "evidence: exact transitive census at degree q plus the zero-violation "
@@ -91,39 +109,59 @@ def _check_hypothesis(p: int, q: int) -> None:
             f"refutation needs the exact census, available for q <= {EXACT_LIMIT}")
 
 
-def _random_wreath_perm(p: int, q: int, rng: Random, mix_blocks: bool) -> Permutation:
-    top = random_permutation(p, rng) if mix_blocks else Permutation.identity(p)
-    # uniform base tuples almost surely generate enormous groups, which the
-    # order budget would just skip; pure-top, diagonal and single-block
-    # styles keep a useful fraction of samples inside the budget
-    style = rng.random()
-    if style < 0.2:
-        base = tuple(Permutation.identity(q) for _ in range(p))
-    elif style < 0.5:
-        shared = random_permutation(q, rng)
-        base = tuple(shared for _ in range(p))
-    elif style < 0.75:
-        entries = [Permutation.identity(q)] * p
-        entries[rng.randrange(p)] = random_permutation(q, rng)
-        base = tuple(entries)
-    else:
-        base = tuple(random_permutation(q, rng) for _ in range(p))
-    return WreathElement(top=top, base=base).as_permutation()
+def _shuffled(k: int, rng: Random) -> bytes:
+    """The table of a uniform random permutation of degree k."""
+    values = list(range(k))
+    rng.shuffle(values)
+    return bytes(values)
 
 
-def _draw_generators(p: int, q: int, rng: Random) -> List[Permutation]:
-    degree = p * q
+def _draw_generators(p: int, q: int, rng: Random) -> List[bytes]:
+    """The generator tables of one sample at degree pq.
+
+    Most generators are wreath elements; uniform base tuples almost surely
+    generate enormous groups, which the order budget would just skip, so
+    pure-top, diagonal and single-block bases keep a useful fraction of
+    samples inside the budget.  About 15% are uniform on all pq points,
+    an unbiased control."""
     count = rng.choice((2, 2, 3, 4))
-    gens = []
+    ident_q = bytes(range(q))
+    tables = []
     for _ in range(count):
         r = rng.random()
         if r < 0.15:
-            gens.append(random_permutation(degree, rng))  # unbiased control
-        elif r < 0.55:
-            gens.append(_random_wreath_perm(p, q, rng, mix_blocks=True))
+            tables.append(_shuffled(p * q, rng))
+            continue
+        top = _shuffled(p, rng) if r < 0.55 else bytes(range(p))
+        style = rng.random()
+        if style < 0.2:
+            base = [ident_q] * p
+        elif style < 0.5:
+            base = [_shuffled(q, rng)] * p
+        elif style < 0.75:
+            # the stream gives the block's table before the block
+            block_table = _shuffled(q, rng)
+            base = [ident_q] * p
+            base[rng.randrange(p)] = block_table
         else:
-            gens.append(_random_wreath_perm(p, q, rng, mix_blocks=False))
-    return gens
+            base = [_shuffled(q, rng) for _ in range(p)]
+        tables.append(wreath_table(top, base))
+    return tables
+
+
+def _group(tables: List[bytes]) -> PermGroup:
+    return PermGroup([Permutation._from_table(t) for t in tables], degree=len(tables[0]))
+
+
+def _screen(tables: List[bytes]) -> Optional[int]:
+    """None if the sample's group is intransitive; else its order if that
+    is within ENUMERATION_BUDGET, and 0 if it is larger."""
+    group = _group(tables)
+    if not group.is_transitive():
+        return None
+    if group.order_exceeds(ENUMERATION_BUDGET):
+        return 0
+    return group.order()
 
 
 @dataclass
@@ -158,6 +196,77 @@ def _analyze_sample(group: PermGroup) -> _SampleOutcome:
     return outcome
 
 
+# samples per screening task: a sample takes microseconds to screen, so a
+# task carries many, but few enough that the workers finish together (at
+# refute-15's 2000 samples, Pool.map's default of 250 per task left one
+# worker idle for about 15 ms of a 60 ms screen)
+_SCREEN_CHUNK = 50
+
+
+def _cpus() -> List[int]:
+    """The CPUs this process may run on."""
+    try:
+        return sorted(os.sched_getaffinity(0))
+    except AttributeError:  # no CPU affinity on this platform
+        return list(range(os.cpu_count() or 1))
+
+
+def worker_processes(samples: int) -> int:
+    """The number of worker processes `refute` starts for `samples`
+    samples: one per CPU this process may run on, or none when there is
+    no sample, one CPU or no fork, and the work then runs in process."""
+    if samples == 0 or not hasattr(os, "fork"):
+        return 0
+    cpus = len(_cpus())
+    return cpus if cpus > 1 else 0
+
+
+def _pin_worker(cpus: List[int]) -> None:
+    """Keep this pool worker on one CPU of `cpus`.
+
+    A forked process starts on its parent's CPU, and the kernel may leave
+    it there for longer than a pool lives, so that the workers take turns
+    on one CPU.  Pool workers are numbered consecutively, so the workers
+    of a pool of len(cpus) processes take distinct CPUs."""
+    import multiprocessing
+
+    number = multiprocessing.current_process()._identity[-1]
+    try:
+        os.sched_setaffinity(0, {cpus[number % len(cpus)]})
+    except OSError:
+        # never raise: the pool would start a worker whose initializer
+        # failed again, without end
+        pass
+
+
+@contextmanager
+def _worker_map(processes: int) -> Iterator[Callable[[Callable, list, int], list]]:
+    """Yield a map(func, items, chunksize) that returns func of each item
+    in item order, over a fork-context pool of `processes` workers, one
+    per CPU; with no processes it is the builtin map, in process.  The
+    pool is closed and joined on exit."""
+    if processes == 0:
+        yield lambda func, items, chunksize: list(map(func, items))
+        return
+    import multiprocessing  # only here: the import costs time and memory
+
+    # fork, not spawn: a spawned worker starts a new interpreter and imports
+    # permwit, about 0.13 s on a 2-core VM, more than the workers save on a
+    # 2000-sample run.  A forked worker flushes the standard streams it
+    # inherits when it exits, but the fork start method flushes both before
+    # each fork, so nothing written earlier is written twice.
+    pin = _pin_worker if hasattr(os, "sched_setaffinity") else None
+    pool = multiprocessing.get_context("fork").Pool(processes, pin, (_cpus(),))
+    try:
+        yield pool.map
+    except BaseException:
+        pool.terminate()
+        raise
+    finally:
+        pool.close()
+        pool.join()
+
+
 def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
     """Run the census evidence plus the seeded randomized search."""
     _check_hypothesis(p, q)
@@ -182,28 +291,35 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
     )
 
     rng = Random(seed)
-    degree = p * q
-    # order -> (chain, outcome) of each small transitive group analysed so
-    # far; a sample of equal order whose generators lie in a listed chain
-    # is that group
-    analysed: Dict[int, List[Tuple[StabilizerChain, _SampleOutcome]]] = {}
-    for _ in range(samples):
-        gens = _draw_generators(p, q, rng)
-        report.samples_tested += 1
-        group = PermGroup(gens, degree=degree)
-        if not group.is_transitive():
-            continue
-        report.transitive_found += 1
-        if group.order_exceeds(ENUMERATION_BUDGET):
-            report.skipped_large += 1
-            continue
-        report.small_groups_tested += 1
-        same_order = analysed.setdefault(group.order(), [])
-        outcome = next((known for chain, known in same_order
-                        if all(chain.contains(g.table) for g in gens)), None)
-        if outcome is None:
-            outcome = _analyze_sample(group)
-            same_order.append((group.chain, outcome))
-        report.pairs_tested += outcome.pairs
-        report.counterexamples.extend(outcome.counterexamples)
+    drawn = [_draw_generators(p, q, rng) for _ in range(samples)]
+    report.samples_tested = samples
+    with _worker_map(worker_processes(samples)) as map_in_order:
+        screened = map_in_order(_screen, drawn, _SCREEN_CHUNK)
+        # the distinct small transitive groups, first seen first, and for
+        # each order the indices of the listed groups of that order; a
+        # sample of equal order whose generators lie in a listed group's
+        # chain is that group
+        groups: List[PermGroup] = []
+        same_order: Dict[int, List[int]] = {}
+        group_of: List[int] = []  # per small sample, its index in `groups`
+        for tables, order in zip(drawn, screened):
+            if order is None:
+                continue
+            report.transitive_found += 1
+            if order == 0:
+                report.skipped_large += 1
+                continue
+            listed = same_order.setdefault(order, [])
+            k = next((k for k in listed
+                      if all(groups[k].chain.contains(t) for t in tables)), None)
+            if k is None:
+                k = len(groups)
+                groups.append(_group(tables))
+                listed.append(k)
+            group_of.append(k)
+        outcomes = map_in_order(_analyze_sample, groups, 1)
+    report.small_groups_tested = len(group_of)
+    for k in group_of:
+        report.pairs_tested += outcomes[k].pairs
+        report.counterexamples.extend(outcomes[k].counterexamples)
     return report

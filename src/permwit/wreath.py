@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import List, Tuple
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from permwit.errors import (
     BlockStructureError,
@@ -27,6 +28,21 @@ from permwit.errors import (
 from permwit.group import PermGroup, is_normal
 from permwit.numthy import is_prime, pq_hypothesis_failure
 from permwit.perm import Permutation
+
+
+@lru_cache(maxsize=None)
+def _block_shifts(p: int, q: int) -> Tuple[bytes, ...]:
+    """For each 0-based block t, the translate table sending j to tq + j
+    for j < q."""
+    return tuple(bytes(range(t * q, t * q + q)).ljust(256, b"\0") for t in range(p))
+
+
+def wreath_table(top: bytes, base: Sequence[bytes]) -> bytes:
+    """The 0-based table of the pair action (i, j) -> (top(i), base[i](j))
+    on points via (i, j) -> (i-1)q + j: block i is base[i] shifted into
+    block top(i)."""
+    shifts = _block_shifts(len(top), len(base[0]))
+    return b"".join(b.translate(shifts[t]) for t, b in zip(top, base))
 
 
 @dataclass(frozen=True)
@@ -62,14 +78,8 @@ class WreathElement:
 
     def as_permutation(self) -> Permutation:
         """The same action on {1..pq} via (i, j) -> (i-1)q + j."""
-        p, q = self.p, self.q
-        table = bytearray(p * q)
-        for i0 in range(p):
-            ti = self.top.table[i0]
-            bi = self.base[i0].table
-            for j0 in range(q):
-                table[i0 * q + j0] = ti * q + bi[j0]
-        return Permutation._from_table(bytes(table))
+        return Permutation._from_table(
+            wreath_table(self.top.table, [b.table for b in self.base]))
 
     @classmethod
     def from_permutation(cls, g: Permutation, p: int, q: int) -> "WreathElement":

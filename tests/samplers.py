@@ -6,7 +6,14 @@ from random import Random
 from typing import List, Tuple
 
 from permwit.group import PermGroup
-from permwit.perm import Permutation, random_permutation
+from permwit.perm import Permutation
+
+
+def random_permutation(degree: int, rng: Random) -> Permutation:
+    """Uniform random permutation drawn from the supplied RNG."""
+    values = list(range(degree))
+    rng.shuffle(values)
+    return Permutation._from_table(bytes(values))
 
 
 def random_transitive_group(rng: Random, max_degree: int = 12) -> PermGroup:

@@ -20,12 +20,11 @@ from permwit.census import (
 )
 from permwit.errors import HypothesisError
 from permwit.group import PermGroup
-from permwit.perm import random_permutation
 from permwit.refute import refute
 from permwit.witness import construct_witness, valid_primes, verify_witness
 from permwit.wreath import decompose_index, embed
 
-from samplers import random_block_diagonal_pair, random_group_with_normal
+from samplers import random_block_diagonal_pair, random_group_with_normal, random_permutation
 
 
 def report(number, description, ok, elapsed):

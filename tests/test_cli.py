@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+import permwit.refute as refute_module
 import permwit.witness as witness_module
 from permwit.cli import main
 from permwit.group import PermGroup
@@ -218,6 +219,28 @@ class TestRefuteCommand:
         assert all(payload["census_verdicts"].values())
         assert "consistent" in err
         assert re.search(r" in \d+\.\ds$", err.strip())
+
+    def test_stderr_names_the_worker_processes(self, capsys):
+        processes = refute_module.worker_processes(50)
+        code, _, err = run_cli(capsys, "refute", "3", "5", "--samples", "50")
+        assert code == 0 and f", {processes} worker processes) in " in err
+        code, _, err = run_cli(capsys, "refute", "3", "5", "--samples", "0")
+        assert code == 0 and ", 0 worker processes) in " in err
+
+    def test_stdout_is_one_json_document(self):
+        # a fresh interpreter whose stdout is a pipe, so that it is block
+        # buffered while the workers fork
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run(
+            [sys.executable, "-m", "permwit.cli", "refute", "3", "5",
+             "--samples", "300", "--seed", "1"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        payload, end = json.JSONDecoder().raw_decode(done.stdout)
+        assert done.stdout[end:] == "\n"
+        assert payload["command"] == "refute" and payload["samples_tested"] == 300
 
     def test_hypothesis_error_points_to_witness(self, capsys):
         code, _, err = run_cli(capsys, "refute", "2", "5")

@@ -15,11 +15,11 @@ from permwit.group import (
     group_from_elements,
     is_normal,
 )
-from permwit.perm import Permutation, parse_cycles, random_permutation
+from permwit.perm import Permutation, parse_cycles
 from permwit.witness import construct_witness
 from permwit.wreath import WreathElement
 
-from samplers import random_group_with_normal
+from samplers import random_group_with_normal, random_permutation
 
 
 def naive_order(group):

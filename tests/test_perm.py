@@ -5,7 +5,9 @@ from hypothesis import given, strategies as st
 
 from permwit.errors import CycleParseError, DegreeMismatch
 from permwit.group import PermGroup
-from permwit.perm import Permutation, parse_cycles, random_permutation
+from permwit.perm import Permutation, parse_cycles
+
+from samplers import random_permutation
 
 
 def perm(text, degree):

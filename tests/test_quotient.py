@@ -6,7 +6,7 @@ from permwit import kernels
 from permwit import quotient as quotient_module
 from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal, PermwitError
 from permwit.group import PermGroup
-from permwit.perm import Permutation, random_permutation
+from permwit.perm import Permutation
 from permwit.quotient import (
     CayleyTable,
     find_isomorphism,
@@ -14,6 +14,8 @@ from permwit.quotient import (
     order_histogram,
     quotient,
 )
+
+from samplers import random_permutation
 
 
 def s5():

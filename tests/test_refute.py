@@ -2,7 +2,19 @@
 
 The positive control: on witness groups, where counterexamples to the pq
 statement exist, the analysis must find them.  The cache: a group drawn
-more than once, from any generating set, is analysed once."""
+more than once, from any generating set, is analysed once.  The draw:
+one seeded stream gives the same tables in every version.  The workers:
+the report is the same whatever the number of worker processes, and no
+worker outlives the call."""
+
+import hashlib
+import multiprocessing
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
+from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -28,27 +40,57 @@ def test_analysis_reports_witness_counterexamples(n, p):
         assert verify_candidate(g_group, n1, n2).passed
 
 
-def count_sample_lattices(monkeypatch):
-    """Record every sample refute draws, and count the lattices computed
-    for sample groups.  Returns (samples, orders of the lattices' groups)."""
+# sha256 over the first 500 draws of one Random(1) stream, each draw fed
+# as its table count followed by its tables: a changed table, or a changed
+# use of the stream, changes it
+DRAW_STREAM = {
+    (3, 5): "c867d3b36d714f3c25ae5c4dcf6604b32a6c164f63d385b49163bd5de04863bf",
+    (5, 7): "680298e9eba810887816112235efb437c7d6ea71fabfc14578edd237d566cdbe",
+}
+
+
+@pytest.mark.parametrize("p, q", sorted(DRAW_STREAM))
+def test_draw_stream_is_pinned(p, q):
+    rng = Random(1)
+    digest = hashlib.sha256()
+    for _ in range(500):
+        tables = refute_module._draw_generators(p, q, rng)
+        assert all(sorted(t) == list(range(p * q)) for t in tables)
+        digest.update(bytes([len(tables)]) + b"".join(tables))
+    assert digest.hexdigest() == DRAW_STREAM[p, q]
+
+
+def on_cpus(monkeypatch, count):
+    """Make refute see `count` CPUs: one runs everything in process, two
+    start two worker processes."""
+    monkeypatch.setattr(refute_module, "_cpus", lambda: list(range(count)))
+
+
+def record_analysis(monkeypatch):
+    """Record every sample refute draws, and the order of every group it
+    hands to the analysis map.  Returns (samples, orders)."""
     draw = refute_module._draw_generators
-    samples, computed = [], []
+    samples, orders = [], []
 
     def recording_draw(p, q, rng):
-        gens = draw(p, q, rng)
-        samples.append(gens)
-        return gens
+        tables = draw(p, q, rng)
+        samples.append(tables)
+        return tables
 
-    lattice = PermGroup.all_normal_subgroups
+    worker_map = refute_module._worker_map
 
-    def counting_lattice(group):
-        if group._normals is None and list(group.generators) in samples:
-            computed.append(group.order())
-        return lattice(group)
+    @contextmanager
+    def recording_worker_map(processes):
+        with worker_map(processes) as map_in_order:
+            def recording_map(func, items, chunksize):
+                if func is _analyze_sample:
+                    orders.extend(group.order() for group in items)
+                return map_in_order(func, items, chunksize)
+            yield recording_map
 
     monkeypatch.setattr(refute_module, "_draw_generators", recording_draw)
-    monkeypatch.setattr(PermGroup, "all_normal_subgroups", counting_lattice)
-    return samples, computed
+    monkeypatch.setattr(refute_module, "_worker_map", recording_worker_map)
+    return samples, orders
 
 
 def test_one_group_drawn_twice_is_analysed_once(monkeypatch):
@@ -64,31 +106,82 @@ def test_one_group_drawn_twice_is_analysed_once(monkeypatch):
     assert [g.order() for g in groups] == [3000, 3000]
     assert all(g in groups[0] for g in second)
 
-    draws = iter([first, second])
-    monkeypatch.setattr(refute_module, "_draw_generators", lambda p, q, rng: next(draws))
-    samples, computed = count_sample_lattices(monkeypatch)
-    report = refute_module.refute(3, 5, 2, 1)
-    assert samples == [first, second]
-    assert report.small_groups_tested == 2
-    assert computed == [3000]
+    tables = [[g.table for g in gens] for gens in (first, second)]
+    for cpus in (1, 2):
+        draws = iter(tables)
+        monkeypatch.setattr(refute_module, "_draw_generators",
+                            lambda p, q, rng: next(draws))
+        on_cpus(monkeypatch, cpus)
+        samples, orders = record_analysis(monkeypatch)
+        report = refute_module.refute(3, 5, 2, 1)
+        monkeypatch.undo()
+        assert samples == tables
+        assert report.small_groups_tested == 2
+        assert orders == [3000]
 
 
 def test_one_lattice_per_distinct_small_group(monkeypatch):
-    samples, computed = count_sample_lattices(monkeypatch)
-    report = refute_module.refute(3, 5, 2000, 1)
-    assert len(samples) == 2000
+    runs = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        samples, orders = record_analysis(monkeypatch)
+        report = refute_module.refute(3, 5, 2000, 1)
+        monkeypatch.undo()
+        assert len(samples) == 2000
+        runs.append((report.small_groups_tested, len(orders)))
     # oracle: transitivity by orbit, elements by closure; only the budget
     # test reads a stabilizer chain
     element_sets = set()
     small = 0
-    for gens in samples:
-        tables = [g.table for g in gens]
+    for tables in samples:
         if len(kernels.orbit(0, tables)) < 15:
             continue
+        gens = [Permutation._from_table(t) for t in tables]
         if PermGroup(gens, degree=15).order_exceeds(ENUMERATION_BUDGET):
             continue
         small += 1
         element_sets.add(frozenset(kernels.close_elements(15, tables, ENUMERATION_BUDGET)))
-    assert report.small_groups_tested == small
     assert small > len(element_sets) > 1
-    assert len(computed) == len(element_sets)
+    assert runs == [(small, len(element_sets))] * 2
+
+
+@pytest.mark.parametrize("p, q, samples, seed",
+                         [(3, 5, 2000, 1), (3, 5, 2000, 2), (3, 5, 2000, 3), (5, 7, 300, 1)])
+def test_report_does_not_depend_on_the_worker_count(monkeypatch, p, q, samples, seed):
+    reports = []
+    for cpus in (1, 2):
+        on_cpus(monkeypatch, cpus)
+        assert refute_module.worker_processes(samples) == (0 if cpus == 1 else 2)
+        reports.append(refute_module.refute(p, q, samples, seed).to_json_dict())
+    assert reports[0] == reports[1]
+
+
+def test_no_worker_outlives_refute(monkeypatch):
+    on_cpus(monkeypatch, 2)
+    report = refute_module.refute(3, 5, 200, 1)
+    assert report.samples_tested == 200
+    assert multiprocessing.active_children() == []
+
+
+def test_no_sample_starts_no_process(monkeypatch):
+    on_cpus(monkeypatch, 2)
+
+    def no_fork():
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert refute_module.worker_processes(0) == 0
+    assert refute_module.refute(3, 5, 0, 1).samples_tested == 0
+
+
+def test_output_written_before_refute_is_written_once():
+    # a forked worker flushes the standard streams it inherits when it
+    # exits, so buffered output must be flushed before the workers start
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import permwit.refute as r; r._cpus = lambda: [0, 1]; "
+            "print('before'); print(r.refute(3, 5, 50, 1).samples_tested)")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "before\n50\n"

@@ -4,7 +4,7 @@ import pytest
 
 from permwit.errors import BlockStructureError, HypothesisError, NotASubgroup
 from permwit.group import PermGroup, StabilizerChain, is_normal
-from permwit.perm import Permutation, parse_cycles, random_permutation
+from permwit.perm import Permutation, parse_cycles
 from permwit.witness import construct_witness
 from permwit.wreath import (
     BlockSystem,
@@ -16,7 +16,7 @@ from permwit.wreath import (
     embed,
 )
 
-from samplers import random_block_diagonal_pair
+from samplers import random_block_diagonal_pair, random_permutation
 
 
 def random_wreath(p, q, rng):
