@@ -547,21 +547,19 @@ class NormalSubgroup:
 def is_normal(n_group: PermGroup, g_group: PermGroup) -> bool:
     """True iff n_group is a normal subgroup of g_group.
 
-    Raises NotASubgroup when n_group is not even a subgroup.  Conjugating
+    Sifts N's generator tables (`_tables`) into G's chain, raising
+    NotASubgroup if one lies outside G, then each conjugate g h g^-1 over
+    both groups' tables (`kernels.conjugate`) into N's chain.  Conjugating
     generators by generators suffices: for finite groups g N g^-1 <= N
     already forces equality.
     """
     if n_group.degree != g_group.degree:
         raise DegreeMismatch(
             f"degree mismatch: {n_group.degree} vs {g_group.degree}")
-    for h in n_group.generators:
-        if not g_group.contains(h):
-            raise NotASubgroup("N is not a subgroup of G")
-    for g in g_group.generators:
-        for h in n_group.generators:
-            if not n_group.contains(h.conjugate(g)):
-                return False
-    return True
+    if any(not g_group.chain.contains(h) for h in n_group._tables):
+        raise NotASubgroup("N is not a subgroup of G")
+    return all(n_group.chain.contains(kernels.conjugate(h, g))
+               for g in g_group._tables for h in n_group._tables)
 
 
 def _grow(elements: List[bytes], gens: List[bytes], candidates: Iterable[bytes],

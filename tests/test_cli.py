@@ -316,6 +316,10 @@ def _no_quotient_isomorphism(monkeypatch, tmp_path):
     return ["witness", "21"]
 
 
+# No real input makes condition (iii) fail: the blocks are N2's own orbits,
+# so N2 is transitive on each of them whenever embed's hypotheses hold.  A
+# failed (iii) can only be forced by patching is_transitive; a failed (i)
+# comes from a real file (GOLDEN's "embed w21_n1_is_n2.grp").
 def _intransitive_block_projections(monkeypatch, tmp_path):
     path = witness_file(tmp_path, 21, 3)
     is_transitive = PermGroup.is_transitive
@@ -389,16 +393,23 @@ GOLDEN = {
         (1, "0f0cddde2a01031b94e5114a9474ad466699dbd8f361ef893f522752f509e4b1"),
     "embed w21.grp":
         (0, "82d4270fdba022fb3b192bf25823e7a1a0a7f3bb4d6dbf76cc44b1079465bed6"),
+    # N1 = N2 is intransitive: condition (i) fails, (ii) and (iii) hold
+    "embed w21_n1_is_n2.grp":
+        (1, "1d100c5c8214b698a353428b1938e2a84ecd3f7f2b8758c925760daa09ed3c05"),
+    "verify w21_n1_is_n2.grp":
+        (1, "1364c93b29e86ba6bca22c03253e2ca05f53218ca3d40f599040406a286c0d68"),
 }
 
 
 # the group files that verify and embed read: the degree-21 witness triple,
-# and that triple with N2 = N1 (clause c fails, clause d is not evaluated).
+# that triple with N2 = N1 (clause c fails, clause d is not evaluated), and
+# that triple with N1 = N2 (an intransitive N1).
 # Each is written under a fixed name relative to the working directory, so
 # the "file" key the report echoes is the same in every run.
 GOLDEN_FILES = {
     "w21.grp": lambda w: [w.G, w.N1, w.N2],
     "w21_n2_is_n1.grp": lambda w: [w.G, w.N1, w.N1],
+    "w21_n1_is_n2.grp": lambda w: [w.G, w.N2, w.N2],
 }
 
 

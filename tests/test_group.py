@@ -167,6 +167,82 @@ class TestNormality:
             is_normal(PermGroup.from_cycles(3, "(1 2)"), s3)
 
 
+def normality_oracle(h_group, g_group):
+    """Independent oracle on element sets, no stabilizer chain: None when H
+    is not inside G, else whether g H g^-1 = H for each generator g of G,
+    each conjugate formed as the product g * h * g^-1."""
+    def elements(group):
+        return set(kernels.close_elements(
+            group.degree, [g.table for g in group.generators], 5040))
+
+    g_elems, h_elems = elements(g_group), elements(h_group)
+    if not h_elems <= g_elems:
+        return None
+    return all(
+        {kernels.compose(kernels.compose(g.table, h), kernels.inverse(g.table))
+         for h in h_elems} == h_elems
+        for g in g_group.generators)
+
+
+def normality_cases():
+    """(H, G) pairs of degree <= 7: seeded normal closures, seeded cyclic
+    subgroups (often not normal), seeded groups with a random permutation
+    (often not inside G), and hand-built edge cases."""
+    rng = Random(2026)
+    cases = []
+    for _ in range(25):
+        group, normal = random_group_with_normal(rng, max_degree=7)
+        x = group.random_element(rng)
+        cases += [(normal, group), (PermGroup([x], degree=group.degree), group),
+                  (PermGroup([x, random_permutation(group.degree, rng)]), group)]
+    s4 = PermGroup.from_cycles(4, "(1 2)", "(1 2 3 4)")
+    v4 = PermGroup.from_cycles(4, "(1 2)(3 4)", "(1 3)(2 4)")
+    c4 = PermGroup.from_cycles(4, "(1 2 3 4)")
+    ident = Permutation.identity(4)
+    cases += [
+        (PermGroup.trivial(4), s4),
+        (PermGroup.trivial(4), PermGroup.trivial(4)),
+        (s4, s4),
+        (PermGroup.from_cycles(5, "(1 2 3)"), PermGroup.from_cycles(5, "(1 2)")),
+        (PermGroup([ident, *v4.generators, v4.generators[0]]), s4),
+        (PermGroup([ident, *c4.generators, c4.generators[0]]), s4),
+        (v4, PermGroup([ident, *s4.generators, s4.generators[1], ident])),
+        (c4, PermGroup([ident, *s4.generators, s4.generators[1], ident])),
+        (PermGroup([ident]), PermGroup([ident, ident])),
+        (s4, v4),
+    ]
+    return cases
+
+
+class TestNormalityOracle:
+    @pytest.mark.parametrize("patched", [False, True])
+    def test_agrees_with_element_sets(self, monkeypatch, patched):
+        cases = normality_cases()
+        if patched:
+            # the test runs on generator tables and chains alone
+            def refuse(*args):
+                raise AssertionError("is_normal made or tested a Permutation")
+            monkeypatch.setattr(Permutation, "conjugate", refuse)
+            monkeypatch.setattr(PermGroup, "contains", refuse)
+        verdicts = Counter()
+        for h_group, g_group in cases:
+            expected = normality_oracle(h_group, g_group)
+            verdicts[expected] += 1
+            if expected is None:
+                with pytest.raises(NotASubgroup):
+                    is_normal(h_group, g_group)
+            else:
+                assert is_normal(h_group, g_group) is expected, (h_group, g_group)
+        # every verdict is exercised
+        assert min(verdicts[True], verdicts[False], verdicts[None]) >= 5, verdicts
+
+    def test_degree_mismatch_comes_first(self):
+        # H is not inside G either, but the degrees are checked first
+        with pytest.raises(DegreeMismatch):
+            is_normal(PermGroup.from_cycles(3, "(1 2)"),
+                      PermGroup.from_cycles(4, "(1 2 3 4)"))
+
+
 class TestNormalClosure:
     def test_three_cycle_in_s5_generates_a5(self):
         s5 = PermGroup.from_cycles(5, "(1 2)", "(1 2 3 4 5)")

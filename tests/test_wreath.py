@@ -184,6 +184,17 @@ class TestEmbedding:
         w, emb = self.embed_witness(6, 2)
         assert emb.conditions.n1_transitive_on_pairs
 
+    @pytest.mark.parametrize("n, p", [(6, 2), (21, 3)])
+    def test_intransitive_n1_fails_condition_i(self, n, p):
+        # N1 = N2 meets every hypothesis but is intransitive: a verdict, not
+        # an error; (ii) and (iii) still hold, as the blocks are N2's orbits
+        w = construct_witness(n, p)
+        conditions = embed(w.G, w.N2, w.N2).conditions
+        assert conditions.n1_transitive_on_pairs is False
+        assert conditions.n2_in_top_kernel is True
+        assert conditions.n2_projections_transitive == (True,) * p
+        assert conditions.all_hold is False
+
     def test_unequal_orders_rejected(self):
         w = construct_witness(21, 3)
         # <tau^3> is normal with three orbits of size 7, but has order 7 != 21
