@@ -7,12 +7,17 @@ together with the divisibility sweep over all their normal subgroups
 (plus the normalizer and dichotomy checks those rest on); exhausting
 degree-pq groups themselves is far beyond desk scale.  As corroboration,
 a seeded randomized search draws generator sets biased toward the
-imprimitive groups any counterexample would have to live in, and feeds
-every transitive sample through the full witness clause checker.
+imprimitive groups any counterexample would have to live in.  It analyses
+only the transitive samples within ENUMERATION_BUDGET, and only their
+equal-index (transitive, intransitive) normal subgroup pairs reach the
+witness clause checker; at the seeds the tests and the benchmark run,
+none does (pairs_tested is 0).  ROADMAP items 2, 3 and 9 plan to change
+that.
 
-The search runs in four phases:
+The search runs in four phases, the first three on one batch of _BATCH
+samples at a time, so that memory does not grow with the sample count:
 
-1. Draw: every sample's generator tables, in sample order, from one
+1. Draw: the batch's generator tables, in sample order, from one
    Random(seed) stream, in this process.
 2. Screen: each sample is intransitive, over ENUMERATION_BUDGET, or small
    with its order; in worker processes, many samples per task.
@@ -196,6 +201,9 @@ def _analyze_sample(group: PermGroup) -> _SampleOutcome:
     return outcome
 
 
+# samples drawn, screened and deduped together
+_BATCH = 10_000
+
 # samples per screening task: a sample takes microseconds to screen, so a
 # task carries many, but few enough that the workers finish together (at
 # refute-15's 2000 samples, Pool.map's default of 250 per task left one
@@ -291,32 +299,34 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
     )
 
     rng = Random(seed)
-    drawn = [_draw_generators(p, q, rng) for _ in range(samples)]
     report.samples_tested = samples
+    # the distinct small transitive groups, first seen first, and for each
+    # order the indices of the listed groups of that order; a sample of
+    # equal order whose generators lie in a listed group's chain is that
+    # group
+    groups: List[PermGroup] = []
+    same_order: Dict[int, List[int]] = {}
+    group_of: List[int] = []  # per small sample, its index in `groups`
     with _worker_map(worker_processes(samples)) as map_in_order:
-        screened = map_in_order(_screen, drawn, _SCREEN_CHUNK)
-        # the distinct small transitive groups, first seen first, and for
-        # each order the indices of the listed groups of that order; a
-        # sample of equal order whose generators lie in a listed group's
-        # chain is that group
-        groups: List[PermGroup] = []
-        same_order: Dict[int, List[int]] = {}
-        group_of: List[int] = []  # per small sample, its index in `groups`
-        for tables, order in zip(drawn, screened):
-            if order is None:
-                continue
-            report.transitive_found += 1
-            if order == 0:
-                report.skipped_large += 1
-                continue
-            listed = same_order.setdefault(order, [])
-            k = next((k for k in listed
-                      if all(groups[k].chain.contains(t) for t in tables)), None)
-            if k is None:
-                k = len(groups)
-                groups.append(_group(tables))
-                listed.append(k)
-            group_of.append(k)
+        for start in range(0, samples, _BATCH):
+            drawn = [_draw_generators(p, q, rng)
+                     for _ in range(min(_BATCH, samples - start))]
+            screened = map_in_order(_screen, drawn, _SCREEN_CHUNK)
+            for tables, order in zip(drawn, screened):
+                if order is None:
+                    continue
+                report.transitive_found += 1
+                if order == 0:
+                    report.skipped_large += 1
+                    continue
+                listed = same_order.setdefault(order, [])
+                k = next((k for k in listed
+                          if all(groups[k].chain.contains(t) for t in tables)), None)
+                if k is None:
+                    k = len(groups)
+                    groups.append(_group(tables))
+                    listed.append(k)
+                group_of.append(k)
         outcomes = map_in_order(_analyze_sample, groups, 1)
     report.small_groups_tested = len(group_of)
     for k in group_of:

@@ -5,26 +5,15 @@ A WreathElement is a top permutation of the p blocks plus one degree-q
 permutation per block, acting on pairs by (i, j) -> (top(i), base[i](j));
 note the base component is indexed by the *source* block.  Pairs are
 identified with points of {1..pq} through (i, j) -> (i-1)q + j.
-
-The index decomposition peels blocks from the last to the first, giving
-per-block normal subgroups whose indices multiply to the total index.
-Only the product is canonical; the per-block factors depend on the
-peeling order.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
-from permwit.errors import (
-    BlockStructureError,
-    DegreeMismatch,
-    HypothesisError,
-    PermwitError,
-)
+from permwit.errors import BlockStructureError, DegreeMismatch, HypothesisError
 from permwit.group import PermGroup, is_normal
 from permwit.numthy import is_prime, pq_hypothesis_failure
 from permwit.perm import Permutation
@@ -272,76 +261,6 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
                      image_map=image_map, conditions=conditions)
 
 
-def _block_parts(group: PermGroup, q: int) -> List[WreathElement]:
-    """The generators of a group that fixes every standard size-q block
-    setwise, decoded; BlockStructureError for any other group.  The
-    projection to block i is generated by `w.base[i - 1]` over the parts."""
-    if group.degree % q != 0:
-        raise BlockStructureError(
-            f"degree {group.degree} is not a multiple of the block size {q}")
-    parts = [WreathElement.from_permutation(g, group.degree // q, q)
-             for g in group.generators]
-    for g, w in zip(group.generators, parts):
-        if not w.top.is_identity():
-            raise BlockStructureError(
-                f"generator {g.cycle_string()} moves a block")
-    return parts
-
-
-@dataclass
-class IndexFactor:
-    block: int
-    subgroup_generators: Tuple[Permutation, ...]  # generators of M_i <= proj_i(A)
-    index: int  # [proj_i(A) : M_i]
-
-
-@dataclass
-class IndexDecomposition:
-    factors: Tuple[IndexFactor, ...]
-    total_index: int
-
-    @property
-    def product(self) -> int:
-        return math.prod(f.index for f in self.factors)
-
-
-def decompose_index(a_group: PermGroup, b_group: PermGroup, q: int) -> IndexDecomposition:
-    """Split [A:B] into per-block indices for block-diagonal A and normal B.
-
-    A must fix every size-q block setwise; B must be normal in A.  The
-    last block is peeled first: its factor is [proj(A) : proj(B)], then
-    the recursion continues on the pointwise stabilizers of that block.
-    The factor product always equals [A:B].
-    """
-    parts_a = _block_parts(a_group, q)
-    parts_b = _block_parts(b_group, q)
-    if not is_normal(b_group, a_group):
-        raise HypothesisError("B is not normal in A")
-    total = a_group.order() // b_group.order()
-
-    factors: List[IndexFactor] = []
-    cur_a, cur_b = a_group, b_group
-    for i in range(a_group.degree // q, 0, -1):
-        proj_a = PermGroup([w.base[i - 1] for w in parts_a], degree=q)
-        proj_b = PermGroup([w.base[i - 1] for w in parts_b], degree=q)
-        factors.append(IndexFactor(
-            block=i,
-            subgroup_generators=proj_b.generators,
-            index=proj_a.order() // proj_b.order()))
-        if i > 1:
-            points = range((i - 1) * q + 1, i * q + 1)
-            cur_a = cur_a.pointwise_stabilizer(points)
-            cur_b = cur_b.pointwise_stabilizer(points)
-            parts_a, parts_b = _block_parts(cur_a, q), _block_parts(cur_b, q)
-
-    decomposition = IndexDecomposition(factors=tuple(factors), total_index=total)
-    if decomposition.product != total:
-        raise PermwitError(
-            f"index decomposition product {decomposition.product} does not "
-            f"match [A:B] = {total}")
-    return decomposition
-
-
 @dataclass
 class Index2Report:
     p: int
@@ -358,12 +277,22 @@ class Index2Report:
 def check_index2(a_group: PermGroup, b_group: PermGroup, p: int, q: int) -> Index2Report:
     """For block-diagonal A with transitive block projections and B normal in
     A (p < q primes, p not dividing q-1): whenever p divides [A:B] = |A|/|B|,
-    q must divide it too.  A B outside A raises NotASubgroup."""
+    q must divide it too.  A's generators are decoded on the standard
+    size-q blocks, and one that does not fix every block setwise raises
+    BlockStructureError; a B outside A raises NotASubgroup."""
     failure = pq_hypothesis_failure(p, q)
     if failure is not None:
         raise HypothesisError(failure)
-    parts = _block_parts(a_group, q)
-    for i in range(1, a_group.degree // q + 1):
+    if a_group.degree % q != 0:
+        raise BlockStructureError(
+            f"degree {a_group.degree} is not a multiple of the block size {q}")
+    blocks = a_group.degree // q
+    parts = [WreathElement.from_permutation(g, blocks, q) for g in a_group.generators]
+    for g, w in zip(a_group.generators, parts):
+        if not w.top.is_identity():
+            raise BlockStructureError(
+                f"generator {g.cycle_string()} moves a block")
+    for i in range(1, blocks + 1):
         if not PermGroup([w.base[i - 1] for w in parts], degree=q).is_transitive():
             raise HypothesisError(
                 f"projection of A to block {i} is not transitive")

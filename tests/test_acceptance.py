@@ -22,9 +22,9 @@ from permwit.errors import HypothesisError
 from permwit.group import PermGroup
 from permwit.refute import refute
 from permwit.witness import construct_witness, valid_primes, verify_witness
-from permwit.wreath import decompose_index, embed
+from permwit.wreath import embed
 
-from samplers import random_block_diagonal_pair, random_group_with_normal, random_permutation
+from samplers import random_group_with_normal, random_permutation
 
 
 def report(number, description, ok, elapsed):
@@ -170,17 +170,9 @@ def test_criterion_5_property_suites():
         except HypothesisError:
             pass
 
-    # index decomposition product identity: 200 seeded pairs
-    rng4 = Random(7411)
-    for _ in range(200):
-        a, b, q = random_block_diagonal_pair(rng4, max_blocks=3,
-                                             max_block_size=5)
-        d = decompose_index(a, b, q)
-        ok &= d.product == d.total_index == a.order() // b.order()
-
     report(5, "property suites: equal orbit lengths (500 pairs), chain-vs-"
-              "enumeration orders, wreath embedding checks, index "
-              "decomposition (200 pairs)", bool(ok), time.monotonic() - start)
+              "enumeration orders, wreath embedding checks", bool(ok),
+           time.monotonic() - start)
 
 
 def test_criterion_6_sharpness_at_degree_21():

@@ -792,6 +792,22 @@ class TestPointwiseStabilizer:
         stab = g.pointwise_stabilizer([4, 5, 6])
         assert stab.order() == 3
 
+    def test_matches_element_oracle_on_random_groups(self):
+        # brute force at degree <= 7: the stabilizer's elements are exactly
+        # the group's elements that fix every listed point
+        seed = 7411
+        print(f"pointwise-stabilizer oracle seed: {seed}")
+        rng = Random(seed)
+        for _ in range(60):
+            n = rng.randint(2, 7)
+            group = PermGroup([random_permutation(n, rng)
+                               for _ in range(rng.randint(1, 3))], degree=n)
+            points = rng.sample(range(1, n + 1), rng.randint(0, n))
+            expected = {t for t in group.element_tables()
+                        if all(t[x - 1] == x - 1 for x in points)}
+            stab = group.pointwise_stabilizer(points)
+            assert set(stab.element_tables()) == expected, (group.generators, points)
+
 
 def chain_generators(tables, degree):
     """Reference: the generator choice of `group_from_elements` defined by a

@@ -4,8 +4,8 @@ The positive control: on witness groups, where counterexamples to the pq
 statement exist, the analysis must find them.  The cache: a group drawn
 more than once, from any generating set, is analysed once.  The draw:
 one seeded stream gives the same tables in every version.  The workers:
-the report is the same whatever the number of worker processes, and no
-worker outlives the call."""
+the report is the same whatever the number of worker processes or of
+batches, and no worker outlives the call."""
 
 import hashlib
 import multiprocessing
@@ -154,6 +154,48 @@ def test_report_does_not_depend_on_the_worker_count(monkeypatch, p, q, samples, 
         assert refute_module.worker_processes(samples) == (0 if cpus == 1 else 2)
         reports.append(refute_module.refute(p, q, samples, seed).to_json_dict())
     assert reports[0] == reports[1]
+
+
+def test_samples_are_held_one_batch_at_a_time(monkeypatch):
+    # a run of several batches gives the report of one batch: the draw,
+    # the dedupe and the sums keep sample order across batches
+    expected = {seed: refute_module.refute(3, 5, 2000, seed).to_json_dict()
+                for seed in (1, 2)}
+    worker_map = refute_module._worker_map
+    screened = []  # the sample count of each screen map
+
+    @contextmanager
+    def recording_worker_map(processes):
+        with worker_map(processes) as map_in_order:
+            def recording_map(func, items, chunksize):
+                if func is refute_module._screen:
+                    screened.append(len(items))
+                return map_in_order(func, items, chunksize)
+            yield recording_map
+
+    for cpus in (1, 2):
+        for seed in (1, 2):
+            on_cpus(monkeypatch, cpus)
+            monkeypatch.setattr(refute_module, "_BATCH", 300)
+            monkeypatch.setattr(refute_module, "_worker_map", recording_worker_map)
+            screened.clear()
+            report = refute_module.refute(3, 5, 2000, seed).to_json_dict()
+            monkeypatch.undo()
+            assert screened == [300] * 6 + [200]
+            assert report == expected[seed]
+
+
+def test_importing_the_cli_does_not_import_multiprocessing():
+    # every workload imports permwit.refute, and the import of
+    # multiprocessing counts toward its setup time, so only a run that
+    # starts workers may import it
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import permwit.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 def test_no_worker_outlives_refute(monkeypatch):

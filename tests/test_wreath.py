@@ -12,7 +12,6 @@ from permwit.wreath import (
     WreathElement,
     blocks_from_orbits,
     check_index2,
-    decompose_index,
     embed,
 )
 
@@ -236,63 +235,6 @@ class TestEmbedding:
             assert image.order() == w.G.order()
 
 
-class TestIndexDecomposition:
-    def test_b_equals_a(self):
-        a = PermGroup.from_cycles(6, "(1 2 3)", "(4 5 6)")
-        d = decompose_index(a, a, 3)
-        assert all(f.index == 1 for f in d.factors)
-        assert d.total_index == 1
-
-    def test_c3_squared_over_diagonal(self):
-        a = PermGroup.from_cycles(6, "(1 2 3)", "(4 5 6)")
-        b = PermGroup.from_cycles(6, "(1 2 3)(4 5 6)")
-        d = decompose_index(a, b, 3)
-        assert sorted(f.index for f in d.factors) == [1, 3]
-        assert d.product == d.total_index == 3
-
-    def test_s3_squared_over_a3_squared(self):
-        a = PermGroup.from_cycles(6, "(1 2)", "(1 2 3)", "(4 5)", "(4 5 6)")
-        b = PermGroup.from_cycles(6, "(1 2 3)", "(4 5 6)")
-        d = decompose_index(a, b, 3)
-        assert d.product == d.total_index == 4
-        assert [f.index for f in d.factors] == [2, 2]
-
-    def test_block_crossing_a_rejected(self):
-        a = PermGroup.from_cycles(6, "(1 4)(2 5)(3 6)")
-        with pytest.raises(BlockStructureError):
-            decompose_index(a, PermGroup.trivial(6), 3)
-
-    def test_non_normal_b_rejected(self):
-        a5sq = PermGroup.from_cycles(10, "(1 2 3)", "(3 4 5)",
-                                     "(6 7 8)", "(8 9 10)")
-        diagonal = PermGroup.from_cycles(10, "(1 2 3)(6 7 8)", "(3 4 5)(8 9 10)")
-        with pytest.raises(HypothesisError, match="not normal"):
-            decompose_index(a5sq, diagonal, 5)
-
-    def test_factors_are_normal_in_projections(self):
-        rng = Random(12)
-        for _ in range(50):
-            a, b, q = random_block_diagonal_pair(rng)
-            d = decompose_index(a, b, q)
-            assert d.product == d.total_index
-            for factor in d.factors:
-                proj = PermGroup(
-                    [WreathElement.from_permutation(g, a.degree // q, q).base[factor.block - 1]
-                     for g in a.generators], degree=q)
-                sub = PermGroup(list(factor.subgroup_generators) or [],
-                                degree=q)
-                assert is_normal(sub, proj)
-
-    def test_product_identity_on_random_pairs(self):
-        seed = 7411
-        print(f"index-decomposition property seed: {seed}")
-        rng = Random(seed)
-        for _ in range(200):
-            a, b, q = random_block_diagonal_pair(rng)
-            d = decompose_index(a, b, q)
-            assert d.product == d.total_index == a.order() // b.order()
-
-
 class TestIndex2:
     def test_vacuous_when_p_does_not_divide(self):
         a = PermGroup.from_cycles(10, "(1 2 3 4 5)(6 7 8 9 10)")
@@ -314,6 +256,19 @@ class TestIndex2:
         a = PermGroup.from_cycles(10, "(1 2 3)", "(6 7 8 9 10)")
         with pytest.raises(HypothesisError, match="not transitive"):
             check_index2(a, PermGroup.trivial(10), 3, 5)
+
+    @pytest.mark.parametrize("degree, a_cycles, match", [
+        (10, ("(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)"),
+         r"generator \(1 6\)\(2 7\)\(3 8\)\(4 9\)\(5 10\) moves a block"),
+        (10, ("(1 2 3 4 5)", "(5 6)"),
+         "block 1 is not mapped onto a single block"),
+        (12, ("(1 2 3 4 5)", "(6 7 8 9 10)"),
+         "degree 12 is not a multiple of the block size 5"),
+    ])
+    def test_a_off_the_blocks_rejected(self, degree, a_cycles, match):
+        a = PermGroup.from_cycles(degree, *a_cycles)
+        with pytest.raises(BlockStructureError, match=match):
+            check_index2(a, PermGroup.trivial(degree), 3, 5)
 
     @pytest.mark.parametrize("b_cycles, error, match", [
         (("(1 2 3)(6 7 8)", "(3 4 5)(8 9 10)"), HypothesisError, "not normal"),
