@@ -49,8 +49,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence,
+                    Set, Tuple)
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
@@ -78,13 +78,12 @@ def affine_group(q: int) -> PermGroup:
     return PermGroup([translation, build_sigma(q, primitive_root(q))])
 
 
-@dataclass
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """A transitive group of degree q.  `normalizer`, its normalizer in S_q,
     is kept for simple entries and is None otherwise.
     `simple_transitive_normals` lists its nontrivial normal subgroups that
-    are transitive and simple, in lattice order; `census` fills it in once
-    every entry exists."""
+    are transitive and simple, in lattice order; `census` sets it with
+    `_replace` once every entry exists."""
 
     q: int
     group: PermGroup
@@ -323,11 +322,10 @@ def census(q: int) -> List[CensusEntry]:
             normalizer=group_from_elements(_normalizer_tables(group, sq_elements), q)
             if simple else None))
     entries.sort(key=lambda e: e.order)
-    for entry in entries:
-        entry.simple_transitive_normals = tuple(
-            sub for sub in entry.normal_subgroups
-            if sub.order > 1 and sub.group.is_transitive() and _is_simple(sub, entries))
-    return entries
+    return [entry._replace(simple_transitive_normals=tuple(
+                sub for sub in entry.normal_subgroups
+                if sub.order > 1 and sub.group.is_transitive() and _is_simple(sub, entries)))
+            for entry in entries]
 
 
 def _is_simple(sub: NormalSubgroup, entries: List[CensusEntry]) -> bool:
@@ -341,8 +339,7 @@ def _is_simple(sub: NormalSubgroup, entries: List[CensusEntry]) -> bool:
     return len(sub.group.all_normal_subgroups()) == 2
 
 
-@dataclass
-class WielandtReport:
+class WielandtReport(NamedTuple):
     order: int
     applicable: bool
     normalizer_order: Optional[int] = None
@@ -357,7 +354,7 @@ class WielandtReport:
         return bool(self.index_divides_q_minus_1 and self.quotient_cyclic)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def verify_wielandt(entry: CensusEntry) -> WielandtReport:
@@ -379,8 +376,7 @@ def verify_wielandt(entry: CensusEntry) -> WielandtReport:
     )
 
 
-@dataclass
-class BurnsideReport:
+class BurnsideReport(NamedTuple):
     order: int
     in_affine: bool
     doubly_transitive: bool
@@ -392,7 +388,7 @@ class BurnsideReport:
             self.doubly_transitive and self.simple_normal_order is not None)
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def verify_burnside(entry: CensusEntry) -> BurnsideReport:
@@ -411,8 +407,7 @@ def verify_burnside(entry: CensusEntry) -> BurnsideReport:
     )
 
 
-@dataclass
-class LemmaPqReport:
+class LemmaPqReport(NamedTuple):
     q: int
     p: int
     pairs_checked: int
@@ -424,7 +419,7 @@ class LemmaPqReport:
         return not self.violations and not self.strong_violations
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**self._asdict(), "passed": self.passed}
 
 
 def verify_lemma_pq(q: int, p: int, entries: List[CensusEntry]) -> LemmaPqReport:
@@ -453,8 +448,7 @@ def verify_lemma_pq(q: int, p: int, entries: List[CensusEntry]) -> LemmaPqReport
                          violations=violations, strong_violations=strong)
 
 
-@dataclass
-class ContainReport:
+class ContainReport(NamedTuple):
     q: int
     groups_with_simple_transitive_normal: int
     containment_failures: List[dict]
@@ -469,7 +463,7 @@ class ContainReport:
         return not self.containment_failures and self.centralizer_ok
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "centralizer_ok": self.centralizer_ok,
+        return {**self._asdict(), "centralizer_ok": self.centralizer_ok,
                 "passed": self.passed}
 
 

@@ -44,9 +44,8 @@ cached.  Distinct groups may be processed in parallel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from random import Random
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
@@ -340,7 +339,15 @@ class PermGroup:
         return frozenset(p + 1 for p in orb)
 
     def is_transitive(self) -> bool:
-        return len(kernels.orbit(0, self._tables)) == self._degree
+        """Read from the chain when it is built: its first transversal is
+        the orbit of the first base point, and a chain with no level is the
+        trivial group's.  Otherwise one orbit walk, building no chain."""
+        chain = self._chain
+        if chain is None:
+            return len(kernels.orbit(0, self._tables)) == self._degree
+        if not chain.transversals:
+            return self._degree == 1
+        return len(chain.transversals[0]) == self._degree
 
     def is_2_transitive(self) -> bool:
         """True iff the chain's first level holds all n points and its second,
@@ -536,11 +543,10 @@ class PermGroup:
         return f"PermGroup(degree={self._degree}, <{gens}>)"
 
 
-@dataclass
-class NormalSubgroup:
+class NormalSubgroup(NamedTuple):
     group: PermGroup
     order: int
-    index: int
+    index: int  # shadows tuple.index, which nothing here calls
     mask: int  # bit i: the i-th class of the listing group's conjugacy_classes()
 
 

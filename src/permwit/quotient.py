@@ -13,8 +13,7 @@ search gives up after ISO_NODE_BUDGET nodes.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal, PermwitError
@@ -25,8 +24,7 @@ QUOTIENT_BUDGET = 1000  # largest index quotient() will tabulate
 ISO_NODE_BUDGET = 10_000_000  # search nodes before find_isomorphism gives up
 
 
-@dataclass(frozen=True)
-class CayleyTable:
+class CayleyTable(NamedTuple):
     """Multiplication table of a finite group on indices 0..m-1; 0 is the identity."""
 
     reps: Tuple[Permutation, ...]

@@ -45,9 +45,8 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
 from random import Random
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
 
 from permwit.errors import BudgetExceeded, HypothesisError
 from permwit.group import ENUMERATION_BUDGET, PermGroup
@@ -65,8 +64,7 @@ METHOD = (
 )
 
 
-@dataclass
-class RefutationReport:
+class RefutationReport(NamedTuple):
     p: int
     q: int
     degree: int
@@ -76,12 +74,12 @@ class RefutationReport:
     samples_requested: int
     census_orders: List[int]
     census_verdicts: Dict[str, bool]
-    samples_tested: int = 0
-    transitive_found: int = 0
-    skipped_large: int = 0
-    small_groups_tested: int = 0
-    pairs_tested: int = 0
-    counterexamples: List[dict] = field(default_factory=list)
+    samples_tested: int
+    transitive_found: int
+    skipped_large: int
+    small_groups_tested: int
+    pairs_tested: int
+    counterexamples: List[dict]
 
     @property
     def counterexamples_found(self) -> int:
@@ -98,7 +96,7 @@ class RefutationReport:
         return "consistent" if self.passed else "THEOREM-VIOLATION"
 
     def to_json_dict(self) -> dict:
-        return {**asdict(self), "counterexamples_found": self.counterexamples_found,
+        return {**self._asdict(), "counterexamples_found": self.counterexamples_found,
                 "verdict": self.verdict}
 
 
@@ -169,16 +167,16 @@ def _screen(tables: List[bytes]) -> Optional[int]:
     return group.order()
 
 
-@dataclass
-class _SampleOutcome:
-    pairs: int = 0
-    counterexamples: List[dict] = field(default_factory=list)
+class _SampleOutcome(NamedTuple):
+    pairs: int
+    counterexamples: List[dict]
 
 
 def _analyze_sample(group: PermGroup) -> _SampleOutcome:
     """Compare every (transitive, intransitive) pair of normal subgroups of
     a transitive group within ENUMERATION_BUDGET."""
-    outcome = _SampleOutcome()
+    pairs = 0
+    counterexamples = []
     normals = group.all_normal_subgroups()
     transitive_subs, other_subs = [], []
     for sub in normals:
@@ -187,18 +185,18 @@ def _analyze_sample(group: PermGroup) -> _SampleOutcome:
         for n2 in other_subs:
             if n1.index != n2.index:
                 continue
-            outcome.pairs += 1
+            pairs += 1
             # G is transitive and N1, N2 are normal of equal index, so the
             # clause checker passes iff G/N1 and G/N2 are isomorphic
             if verify_candidate(group, n1.group, n2.group).passed:
-                outcome.counterexamples.append({
+                counterexamples.append({
                     "G": [g.cycle_string() for g in group.generators],
                     "N1": [g.cycle_string() for g in n1.group.generators],
                     "N2": [g.cycle_string() for g in n2.group.generators],
                     "index": n1.index,
                     "order": group.order(),
                 })
-    return outcome
+    return _SampleOutcome(pairs, counterexamples)
 
 
 # samples drawn, screened and deduped together
@@ -288,18 +286,9 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
         "containment": evidence["containment"]["passed"],
         "index_divisibility": evidence["index_divisibility"][str(p)]["passed"],
     }
-    report = RefutationReport(
-        p=p, q=q, degree=p * q,
-        hypothesis_ok=True,
-        method=METHOD,
-        seed=seed,
-        samples_requested=samples,
-        census_orders=evidence["orders"],
-        census_verdicts=verdicts,
-    )
 
     rng = Random(seed)
-    report.samples_tested = samples
+    transitive_found = skipped_large = 0
     # the distinct small transitive groups, first seen first, and for each
     # order the indices of the listed groups of that order; a sample of
     # equal order whose generators lie in a listed group's chain is that
@@ -315,9 +304,9 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
             for tables, order in zip(drawn, screened):
                 if order is None:
                     continue
-                report.transitive_found += 1
+                transitive_found += 1
                 if order == 0:
-                    report.skipped_large += 1
+                    skipped_large += 1
                     continue
                 listed = same_order.setdefault(order, [])
                 k = next((k for k in listed
@@ -328,8 +317,19 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
                     listed.append(k)
                 group_of.append(k)
         outcomes = map_in_order(_analyze_sample, groups, 1)
-    report.small_groups_tested = len(group_of)
-    for k in group_of:
-        report.pairs_tested += outcomes[k].pairs
-        report.counterexamples.extend(outcomes[k].counterexamples)
-    return report
+    # each small sample adds its group's outcome, in sample order
+    return RefutationReport(
+        p=p, q=q, degree=p * q,
+        hypothesis_ok=True,
+        method=METHOD,
+        seed=seed,
+        samples_requested=samples,
+        census_orders=evidence["orders"],
+        census_verdicts=verdicts,
+        samples_tested=samples,
+        transitive_found=transitive_found,
+        skipped_large=skipped_large,
+        small_groups_tested=len(group_of),
+        pairs_tested=sum(outcomes[k].pairs for k in group_of),
+        counterexamples=[c for k in group_of for c in outcomes[k].counterexamples],
+    )

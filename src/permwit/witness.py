@@ -17,8 +17,7 @@ element).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 from permwit.errors import DegreeMismatch, HypothesisError, PermwitError
 from permwit.group import PermGroup, is_normal
@@ -27,27 +26,24 @@ from permwit.perm import MAX_DEGREE, Permutation
 from permwit.quotient import _coset_table, find_isomorphism
 
 
-@dataclass
-class Clause:
+class Clause(NamedTuple):
     ok: bool
     detail: str
 
 
-@dataclass
-class VerificationReport:
-    clauses: Dict[str, Clause] = field(default_factory=dict)
+class VerificationReport(NamedTuple):
+    clauses: Dict[str, Clause]
 
     @property
     def passed(self) -> bool:
         return all(c.ok for c in self.clauses.values())
 
     def to_json_dict(self) -> dict:
-        return {"clauses": {name: dict(vars(c)) for name, c in self.clauses.items()},
+        return {"clauses": {name: c._asdict() for name, c in self.clauses.items()},
                 "passed": self.passed}
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     n: int
     p: int
     i: int
@@ -141,12 +137,11 @@ def verify_candidate(g_group: PermGroup, n1: PermGroup, n2: PermGroup,
     """
     if n1.degree != g_group.degree or n2.degree != g_group.degree:
         raise DegreeMismatch("inconsistent degrees among groups")
-    report = VerificationReport()
-    report.clauses["a"] = Clause(
+    # the order first: its chain then gives clause (a)'s transitivity
+    order_g = g_group.order()
+    clause_a = Clause(
         g_group.is_transitive(),
         f"G transitive on {g_group.degree} points")
-
-    order_g = g_group.order()
 
     def subgroup_clause(sub: PermGroup, name: str, want_transitive: bool) -> Clause:
         try:
@@ -166,28 +161,27 @@ def verify_candidate(g_group: PermGroup, n1: PermGroup, n2: PermGroup,
                             f"{'transitive' if transitive else 'not transitive'}, "
                             f"index {index}")
 
-    report.clauses["b"] = subgroup_clause(n1, "N1", want_transitive=True)
-    report.clauses["c"] = subgroup_clause(n2, "N2", want_transitive=False)
+    clause_b = subgroup_clause(n1, "N1", want_transitive=True)
+    clause_c = subgroup_clause(n2, "N2", want_transitive=False)
 
     if expected_index is None:
         idx1 = order_g // n1.order()
         idx2 = order_g // n2.order()
-        if idx1 != idx2 and report.clauses["b"].ok and report.clauses["c"].ok:
-            report.clauses["b"] = Clause(
-                False, f"indices differ: [G:N1]={idx1}, [G:N2]={idx2}")
+        if idx1 != idx2 and clause_b.ok and clause_c.ok:
+            clause_b = Clause(False, f"indices differ: [G:N1]={idx1}, [G:N2]={idx2}")
 
-    if report.clauses["b"].ok and report.clauses["c"].ok:
+    if clause_b.ok and clause_c.ok:
         # both clauses tested normality, so the quotients skip that test
         t1 = _coset_table(g_group, n1)
         t2 = _coset_table(g_group, n2)
         mapping = find_isomorphism(t1, t2)
-        report.clauses["d"] = Clause(
+        clause_d = Clause(
             mapping is not None,
             f"G/N1 and G/N2 of order {t1.order} "
             f"{'isomorphic' if mapping is not None else 'NOT isomorphic'}")
     else:
-        report.clauses["d"] = Clause(False, "not evaluated: clause (b) or (c) failed")
-    return report
+        clause_d = Clause(False, "not evaluated: clause (b) or (c) failed")
+    return VerificationReport({"a": clause_a, "b": clause_b, "c": clause_c, "d": clause_d})
 
 
 def verify_witness(w: Witness) -> VerificationReport:
@@ -198,19 +192,20 @@ def verify_witness(w: Witness) -> VerificationReport:
     fixes a point, so N2 cannot act transitively on n points.
     """
     report = verify_candidate(w.G, w.N1, w.N2, expected_index=w.p)
+    return VerificationReport({**report.clauses, "e": _certificate(w)})
+
+
+def _certificate(w: Witness) -> Clause:
+    """Clause (e) of `verify_witness`."""
     order_n2 = w.N2.order()
     if order_n2 != w.n:
-        report.clauses["e"] = Clause(False, f"|N2| = {order_n2}, expected n = {w.n}")
-        return report
+        return Clause(False, f"|N2| = {order_n2}, expected n = {w.n}")
     if w.sigma.is_identity():
-        report.clauses["e"] = Clause(False, "sigma is the identity")
-        return report
+        return Clause(False, "sigma is the identity")
     if not w.N2.contains(w.sigma):
-        report.clauses["e"] = Clause(False, "sigma is not an element of N2")
-        return report
+        return Clause(False, "sigma is not an element of N2")
     fixed = w.sigma.fixed_points()
-    report.clauses["e"] = Clause(
+    return Clause(
         bool(fixed),
         f"|N2| = n = {w.n} and sigma fixes point(s) {fixed[:3]}"
         if fixed else "sigma has no fixed point")
-    return report

@@ -9,9 +9,8 @@ identified with points of {1..pq} through (i, j) -> (i-1)q + j.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import lru_cache
-from typing import Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from permwit.errors import BlockStructureError, DegreeMismatch, HypothesisError
 from permwit.group import PermGroup, is_normal
@@ -34,19 +33,24 @@ def wreath_table(top: bytes, base: Sequence[bytes]) -> bytes:
     return b"".join(b.translate(shifts[t]) for t, b in zip(top, base))
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class _WreathFields(NamedTuple):
     top: Permutation
     base: Tuple[Permutation, ...]
 
-    def __post_init__(self):
-        if len(self.base) != self.top.degree:
+
+class WreathElement(_WreathFields):
+    # a NamedTuple class may not define __new__, so the check sits in a subclass
+    __slots__ = ()
+
+    def __new__(cls, top: Permutation, base: Tuple[Permutation, ...]) -> "WreathElement":
+        if len(base) != top.degree:
             raise BlockStructureError(
                 f"need one base permutation per block: top degree "
-                f"{self.top.degree}, got {len(self.base)} base entries")
-        q = self.base[0].degree
-        if any(b.degree != q for b in self.base):
+                f"{top.degree}, got {len(base)} base entries")
+        q = base[0].degree
+        if any(b.degree != q for b in base):
             raise BlockStructureError("base permutations must share a degree")
+        return super().__new__(cls, top, base)
 
     @property
     def p(self) -> int:
@@ -117,13 +121,12 @@ class WreathElement:
         return f"WreathElement({self.text()})"
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(NamedTuple):
     degree: int
     blocks: Tuple[Tuple[int, ...], ...]  # disjoint sorted point tuples, by least point
 
     @property
-    def count(self) -> int:
+    def count(self) -> int:  # shadows tuple.count, which nothing here calls
         return len(self.blocks)
 
     @property
@@ -142,7 +145,7 @@ class BlockSystem:
         return Permutation._from_table(bytes(table))
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
 def blocks_from_orbits(n2: PermGroup) -> BlockSystem:
@@ -164,8 +167,7 @@ def blocks_from_orbits(n2: PermGroup) -> BlockSystem:
     return BlockSystem(degree=n2.degree, blocks=tuple(orbits))
 
 
-@dataclass
-class EmbeddingConditions:
+class EmbeddingConditions(NamedTuple):
     n1_transitive_on_pairs: bool
     n2_in_top_kernel: bool
     n2_projections_transitive: Tuple[bool, ...]
@@ -176,8 +178,7 @@ class EmbeddingConditions:
                 and all(self.n2_projections_transitive))
 
 
-@dataclass
-class Embedding:
+class Embedding(NamedTuple):
     block_system: BlockSystem
     p: int
     q: int
@@ -200,7 +201,7 @@ class Embedding:
                 {"generator": g.cycle_string(), "image": w.text()}
                 for g, w in self.image_map
             ],
-            "conditions": asdict(self.conditions),
+            "conditions": self.conditions._asdict(),
         }
 
 
@@ -261,8 +262,7 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
                      image_map=image_map, conditions=conditions)
 
 
-@dataclass
-class Index2Report:
+class Index2Report(NamedTuple):
     p: int
     q: int
     index: int

@@ -10,8 +10,12 @@ from pathlib import Path
 
 import pytest
 
+import permwit.census as census_module
+import permwit.group as group_module
+import permwit.quotient as quotient_module
 import permwit.refute as refute_module
 import permwit.witness as witness_module
+import permwit.wreath as wreath_module
 from permwit.cli import main
 from permwit.group import PermGroup
 from permwit.witness import construct_witness, valid_primes
@@ -423,3 +427,36 @@ def test_golden_output(capsys, monkeypatch, tmp_path, command):
     code = main(command.split())
     out = capsys.readouterr().out
     assert (code, hashlib.sha256(out.encode()).hexdigest()) == GOLDEN[command]
+
+
+# the keys a record's JSON may add after its fields: each is a property
+DERIVED_KEYS = {"passed", "verdict", "counterexamples_found", "centralizer_ok"}
+# records whose JSON renders groups and permutations as cycle strings, so
+# its keys are not its fields
+OWN_JSON = {"CensusEntry", "Embedding", "Witness"}
+
+
+def test_json_keys_are_fields_plus_derived_keys():
+    entries = census_module.census(5)
+    witness = construct_witness(21, 3)
+    records = ([census_module.verify_wielandt(e) for e in entries]
+               + [census_module.verify_burnside(e) for e in entries]
+               + [census_module.verify_lemma_pq(5, 3, entries),
+                  census_module.verify_contain(5, entries),
+                  witness_module.verify_witness(witness),
+                  refute_module.refute(3, 5, 20, 1),
+                  wreath_module.blocks_from_orbits(witness.N2)])
+    with_json = {name for module in (census_module, group_module, quotient_module,
+                                     refute_module, witness_module, wreath_module)
+                 for name, obj in vars(module).items()
+                 if isinstance(obj, type) and issubclass(obj, tuple)
+                 and obj.__module__ == module.__name__ and hasattr(obj, "to_json_dict")}
+    assert with_json == {type(r).__name__ for r in records} | OWN_JSON
+    for record in records:
+        data = record.to_json_dict()
+        fields = list(type(record)._fields)
+        assert list(data)[:len(fields)] == fields, type(record).__name__
+        extra = list(data)[len(fields):]
+        assert set(extra) <= DERIVED_KEYS, type(record).__name__
+        for key in extra:
+            assert data[key] == getattr(record, key)

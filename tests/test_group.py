@@ -141,6 +141,42 @@ class TestOrbits:
     def test_trivial_group_orbits(self):
         assert PermGroup.trivial(4).orbits() == [(1,), (2,), (3,), (4,)]
 
+    @staticmethod
+    def assert_chain_answer_is_orbit_answer(group, monkeypatch):
+        by_orbit = group.is_transitive()
+        assert group._chain is None
+        assert by_orbit == (len(group.orbits()) == 1)
+        group.order()
+
+        def no_orbit(*args):
+            raise AssertionError("a built chain answers without an orbit walk")
+
+        monkeypatch.setattr(kernels, "orbit", no_orbit)
+        assert group.is_transitive() == by_orbit
+
+    @pytest.mark.parametrize("build", [
+        lambda: PermGroup.trivial(1),
+        lambda: PermGroup([Permutation.identity(1)]),
+        lambda: PermGroup.trivial(6),
+        # the first generator fixes point 1, so the base starts elsewhere
+        lambda: PermGroup.from_cycles(5, "(2 3 4 5)", "(1 2)"),
+        lambda: PermGroup.from_cycles(5, "(2 3)", "(4 5)"),
+        lambda: PermGroup.from_cycles(6, "(2 6)(3 5)", "(1 3 5)(2 4 6)"),
+    ], ids=["trivial_1", "identity_1", "trivial_6", "transitive_fixing_1",
+            "intransitive_fixing_1", "witness_n2_6"])
+    def test_chain_answer_on_named_groups(self, build, monkeypatch):
+        self.assert_chain_answer_is_orbit_answer(build(), monkeypatch)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_chain_answer_on_seeded_groups(self, seed, monkeypatch):
+        # one to three cycles, each through a random subset of the points,
+        # give transitive and intransitive groups of degree 2..12
+        rng = Random(seed)
+        degree = rng.randint(2, 12)
+        gens = [random_cycle(degree, rng) for _ in range(rng.randint(1, 3))]
+        self.assert_chain_answer_is_orbit_answer(PermGroup(gens, degree=degree),
+                                                 monkeypatch)
+
 
 class TestNormality:
     def test_witness_n1_is_normal(self):

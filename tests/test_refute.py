@@ -198,6 +198,20 @@ def test_importing_the_cli_does_not_import_multiprocessing():
     assert done.stdout == "[]\n"
 
 
+def test_importing_permwit_does_not_import_dataclasses():
+    # dataclasses imports inspect, ast, dis and tokenize, and its class
+    # generator runs once per decorated class: 40-60% of the CLI's import
+    # time from compiled bytecode, which every command pays
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import permwit.cli, "
+            "permwit.census, permwit.refute, permwit.witness, permwit.wreath; "
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code, src],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
+
+
 def test_no_worker_outlives_refute(monkeypatch):
     on_cpus(monkeypatch, 2)
     report = refute_module.refute(3, 5, 200, 1)
