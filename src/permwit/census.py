@@ -35,9 +35,12 @@ listed, and whose generators that one holds, is that closure; each call
 keeps its own record, so the routes still share no closure.  Only the
 rest are listed, as A extended by whole left cosets
 (`kernels.extend_elements`), and the count must equal the group's order.
-The double coset A g A is a union of left cosets of A, AGL-conjugates
-are taken with one conjugator per left coset of A & AGL, and the
-normalizer in S_q is tested one left coset at a time.
+One element g is swept per double coset A g A, and since <A, g> =
+<A, g^k> for k prime to the order of g, handling g covers the double
+cosets of all those powers too, and no chain is built for them.  The
+double coset A g A is a union of left cosets of A, AGL-conjugates are
+taken with one conjugator per left coset of A & AGL, and the normalizer
+in S_q and the centralizer of C are tested one left coset at a time.
 
 `in_affine` is a subset test: C is the only Sylow q-subgroup of AGL(1,q),
 so an entry with a conjugate inside AGL(1,q) lies inside it.
@@ -157,12 +160,26 @@ def _double_coset(a_elements: Sequence[bytes], g: bytes) -> Set[bytes]:
     return covered
 
 
+def _generating_powers(g: bytes) -> List[bytes]:
+    """The powers g^k with k prime to the order of g, g itself first: the
+    elements that generate the same cyclic group as g."""
+    ident = bytes(range(len(g)))
+    step = g + kernels.PADDED_IDENTITY[len(g):]
+    powers = [g]  # powers[k - 1] is g^k
+    while powers[-1] != ident:
+        powers.append(powers[-1].translate(step))
+    order = len(powers)
+    return [x for k, x in enumerate(powers, 1) if math.gcd(k, order) == 1]
+
+
 def _extensions(start: Fingerprint, ambient: Sequence[bytes],
                 listed: Listed) -> Iterator[Fingerprint]:
     """The sorted element tuple of <A, g>, for A the subgroup with element
-    tuple `start` and one g per double coset A g A of the ambient group,
-    whose element list `ambient` must be sorted; <A, g> = <A, a g b> for
-    a, b in A.
+    tuple `start` and one g per class of double cosets of the ambient
+    group, whose element list `ambient` must be sorted.  <A, g> = <A, a g b>
+    for a, b in A, and <A, g> = <A, g^k> for k prime to the order of g, so
+    once g is handled the double cosets A g^k A of all those powers are
+    covered.
 
     The order of <A, g> comes from a `PermGroup` on A's generators and g.
     When `order_exceeds(|ambient| - 1)`, whose chain build stops at that
@@ -199,7 +216,9 @@ def _extensions(start: Fingerprint, ambient: Sequence[bytes],
                 exact = tuple(sorted(closure))
                 same_order.append((set(closure), exact))
             yield exact
-        covered |= _double_coset(start, g)
+        for power in _generating_powers(g):
+            if power not in covered:
+                covered |= _double_coset(start, power)
 
 
 def _overgroups(start: Fingerprint, ambient: Sequence[bytes],
@@ -470,8 +489,10 @@ class ContainReport(NamedTuple):
 def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
     """Whenever a census entry G has a transitive simple normal subgroup H,
     every nontrivial normal subgroup of G must contain H.  Also checks
-    directly that the centralizer of the standard q-cycle in S_q is the
-    cycle's own group (order exactly q)."""
+    directly that the centralizer of the standard q-cycle c in S_q is the
+    cycle's own group (order exactly q).  If x commutes with c, so does
+    every element of the left coset x<c>, so one x per coset is tested
+    and counts q."""
     sq_elements = _symmetric_elements(q)
     checked = 0
     failures = []
@@ -491,11 +512,11 @@ def verify_contain(q: int, entries: List[CensusEntry]) -> ContainReport:
                     })
     cycle_table = standard_cycle(q).table
     # x commutes with the cycle c iff x c x^-1 = c
-    centralizer = [x for x in sq_elements
-                   if kernels.conjugate(cycle_table, x) == cycle_table]
+    commuting = sum(kernels.conjugate(cycle_table, x) == cycle_table
+                    for x in _coset_reps(sq_elements, _cycle_group(q), set()))
     return ContainReport(q=q, groups_with_simple_transitive_normal=checked,
                          containment_failures=failures,
-                         centralizer_of_cycle_order=len(centralizer))
+                         centralizer_of_cycle_order=q * commuting)
 
 
 def applicable_primes(q: int) -> List[int]:

@@ -28,7 +28,10 @@ normal subgroup is a union of conjugacy classes, so it is keyed by the
 bitmask of its classes, closures run on element sets, and no stabilizer
 chain is built for any subgroup.  The normal closure of a class is the
 subgroup the class generates, grown by whole cosets, so no conjugation
-loop runs once the classes are known.  Every normal subgroup is the join
+loop runs once the classes are known.  It lies in every normal subgroup
+found so far that holds the class, and in G, so its growth stops past half
+the smallest of them, which it then is by Lagrange; a class closure that
+is G lists at most half of G.  Every normal subgroup is the join
 of the class closures it contains, so one pass that joins each subgroup
 found with each class closure finds them all.  `group_from_elements`
 grows a group by the same coset walk and checks that the given tables are
@@ -454,15 +457,18 @@ class PermGroup:
           union of two masks is joined at most once.
 
         N_k is grown from <rep_k> over class k's sorted members (`_grow`),
-        so its generators are rep_k and the members that extended it.  The
-        class closures (the atoms) are registered in class order.  Every
-        normal subgroup is the join of the atoms it contains, and a join
-        depends only on the union of the masks, so joining each registered
-        subgroup, in registration order, with each atom registers every
-        join of atoms, hence every normal subgroup; a join's generators are
-        those of its two parts.  No stabilizer chain is built here: each
-        entry's group builds its own lazily, when a caller needs one.  The
-        entries are computed once per group, sorted by order, and every call
+        so its generators are rep_k and the members that extended it.  It
+        lies in G and in each registered subgroup holding class k, so past
+        half the smallest, M, it is M by Lagrange and its growth stops; a G
+        not yet registered takes the generators gathered so far, which
+        already generate it.  The class closures (the atoms) are registered
+        in class order.  Every normal subgroup is the join of the atoms it
+        contains, and a join depends only on the union of the masks, so
+        joining each registered subgroup, in registration order, with each
+        atom registers every normal subgroup; a join's generators are those
+        of its two parts.  No stabilizer chain is built here; each entry's
+        group builds its own lazily.  The entries are computed once per
+        group, sorted by order, and every call
         returns the same cached tuple.
         """
         if self._normals is not None:
@@ -472,6 +478,7 @@ class PermGroup:
         classes = self._classes
         class_of = self._class_of
         reps = [members[0] for members in classes]
+        whole = (1 << len(classes)) - 1  # G's mask
 
         def mask_of(elements: List[bytes]) -> int:
             # only for normal subgroups, which are unions of classes
@@ -492,7 +499,9 @@ class PermGroup:
                 mask = closure_masks.get(class_of[y], 0)
                 if mask >> k & 1:
                     return None, mask
-            return gens, mask_of(_grow(elements, gens, classes[k], total))
+            bound = min((m for m in subs if m >> k & 1), key=order_of, default=whole)
+            grown = _grow(elements, gens, classes[k], order_of(bound) // 2)
+            return gens, bound if grown is None else mask_of(grown)
 
         # mask -> generator tables, in registration order; the trivial
         # subgroup comes first, and its mask is bit 0, the identity's class

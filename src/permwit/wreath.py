@@ -14,7 +14,7 @@ from typing import NamedTuple, Sequence, Tuple
 
 from permwit.errors import BlockStructureError, DegreeMismatch, HypothesisError
 from permwit.group import PermGroup, is_normal
-from permwit.numthy import is_prime, pq_hypothesis_failure
+from permwit.numthy import is_prime
 from permwit.perm import Permutation
 
 
@@ -261,45 +261,3 @@ def embed(g_group: PermGroup, n1: PermGroup, n2: PermGroup) -> Embedding:
     return Embedding(block_system=blocks, p=p, q=q, relabel=relabel,
                      image_map=image_map, conditions=conditions)
 
-
-class Index2Report(NamedTuple):
-    p: int
-    q: int
-    index: int
-    p_divides: bool
-    q_divides: bool
-
-    @property
-    def passed(self) -> bool:
-        return (not self.p_divides) or self.q_divides
-
-
-def check_index2(a_group: PermGroup, b_group: PermGroup, p: int, q: int) -> Index2Report:
-    """For block-diagonal A with transitive block projections and B normal in
-    A (p < q primes, p not dividing q-1): whenever p divides [A:B] = |A|/|B|,
-    q must divide it too.  A's generators are decoded on the standard
-    size-q blocks, and one that does not fix every block setwise raises
-    BlockStructureError; a B outside A raises NotASubgroup."""
-    failure = pq_hypothesis_failure(p, q)
-    if failure is not None:
-        raise HypothesisError(failure)
-    if a_group.degree % q != 0:
-        raise BlockStructureError(
-            f"degree {a_group.degree} is not a multiple of the block size {q}")
-    blocks = a_group.degree // q
-    parts = [WreathElement.from_permutation(g, blocks, q) for g in a_group.generators]
-    for g, w in zip(a_group.generators, parts):
-        if not w.top.is_identity():
-            raise BlockStructureError(
-                f"generator {g.cycle_string()} moves a block")
-    for i in range(1, blocks + 1):
-        if not PermGroup([w.base[i - 1] for w in parts], degree=q).is_transitive():
-            raise HypothesisError(
-                f"projection of A to block {i} is not transitive")
-    if not is_normal(b_group, a_group):
-        raise HypothesisError("B is not normal in A")
-    index = a_group.order() // b_group.order()
-    return Index2Report(
-        p=p, q=q, index=index,
-        p_divides=index % p == 0,
-        q_divides=index % q == 0)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from random import Random
-from typing import List, Tuple
+from typing import Tuple
 
 from permwit.group import PermGroup
 from permwit.perm import Permutation
@@ -33,24 +33,3 @@ def random_group_with_normal(rng: Random, max_degree: int = 12
     normal = group.normal_closure([group.random_element(rng)])
     return group, normal
 
-
-def random_block_diagonal_pair(rng: Random, max_blocks: int = 3,
-                               max_block_size: int = 5
-                               ) -> Tuple[PermGroup, PermGroup, int]:
-    """(A, B, q): A fixes each size-q block setwise, B is normal in A."""
-    blocks = rng.randint(2, max_blocks)
-    q = rng.randint(2, max_block_size)
-    degree = blocks * q
-
-    def block_perm() -> Permutation:
-        table = bytearray(range(degree))
-        for b in range(blocks):
-            piece = random_permutation(q, rng).table
-            for j in range(q):
-                table[b * q + j] = b * q + piece[j]
-        return Permutation._from_table(bytes(table))
-
-    a_group = PermGroup([block_perm() for _ in range(rng.randint(1, 3))],
-                        degree=degree)
-    b_group = a_group.normal_closure([a_group.random_element(rng)])
-    return a_group, b_group, q

@@ -1,3 +1,4 @@
+import math
 import types
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from permwit import census as census_module
 from permwit import kernels
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
-from permwit.group import PermGroup, group_from_elements
+from permwit.group import PermGroup, StabilizerChain, group_from_elements
 from permwit.census import (
     _agl_conjugates,
     _conjugate_set,
@@ -268,6 +269,20 @@ class TestReports:
                   if 1 < sub.order < e.order and sub.group.is_transitive()]
         assert sorted(sub.order for sub in proper) == [7, 7, 7, 14, 21, 2520]
 
+    def test_power_rule_bounds_chain_builds(self, monkeypatch):
+        # handling g covers the double cosets of its generating powers, so
+        # no chain is built for a closure already known to be <A, g>
+        builds = []
+        init = StabilizerChain.__init__
+
+        def counting_init(chain, *args, **kwargs):
+            builds.append(1)
+            init(chain, *args, **kwargs)
+
+        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
+        assert census_report(7)["passed"]
+        assert len(builds) <= 250
+
     def test_simple_transitive_normals_match_every_lattice(self, census5, census7):
         for entry in census5 + census7:
             reference = [sub for sub in entry.normal_subgroups
@@ -376,10 +391,20 @@ def test_in_affine_matches_conjugator_search(q, census5, census7):
     assert sum(flags) == sum(1 for d in range(1, q) if (q - 1) % d == 0)
 
 
-def _dimino_to_half(start, ambient):
+def _same_cyclic_group(g):
+    """The powers g^k, k prime to the order m of g, by repeated products."""
+    powers = [g]
+    while powers[-1] != bytes(range(len(g))):
+        powers.append(kernels.compose(g, powers[-1]))
+    m = len(powers)
+    return [powers[k - 1] for k in range(1, m) if math.gcd(k, m) == 1]
+
+
+def _dimino_to_half(start, ambient, powers=True):
     """Reference for `_extensions`: close every <A, g> by Dimino's method,
     and take a closure that passes half the ambient order to be the
-    ambient group, by Lagrange."""
+    ambient group, by Lagrange.  Once g is handled, A g A is covered, and
+    with `powers` so is A g^k A for every power g^k with <g^k> = <g>."""
     gens = [p.table for p in group_from_elements(start, len(start[0])).generators]
     covered = set(start)
     half = len(ambient) // 2
@@ -388,7 +413,8 @@ def _dimino_to_half(start, ambient):
             continue
         closure = kernels.extend_elements(start, gens + [g], half)
         yield tuple(ambient) if closure is None else tuple(sorted(closure))
-        covered |= _double_coset(start, g)
+        for h in _same_cyclic_group(g) if powers else [g]:
+            covered |= _double_coset(start, h)
 
 
 def _census_kernels(extend_elements):
@@ -411,6 +437,8 @@ class TestExtensions:
             for start in starts:
                 expected = list(_dimino_to_half(start, ambient))
                 assert list(_extensions(start, ambient, listed)) == expected
+                # covering the powers' double cosets loses no closure
+                assert set(expected) == set(_dimino_to_half(start, ambient, powers=False))
 
     def test_each_route_lists_each_closure_once(self, monkeypatch):
         listed = []

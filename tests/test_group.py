@@ -5,6 +5,8 @@ from random import Random
 
 import pytest
 
+import permwit.group as group_module
+import permwit.refute as refute_module
 from permwit import kernels
 from permwit.census import affine_group, census
 from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
@@ -411,6 +413,74 @@ class TestAllNormalSubgroups:
             for sub in group.all_normal_subgroups():
                 assert is_normal(sub.group, group)
                 assert sub.index * sub.order == total
+
+
+def lattice_record(group):
+    """Mask, order and generator tables of each entry of a fresh copy's lattice."""
+    fresh = PermGroup(group.generators, degree=group.degree)
+    return [(sub.mask, sub.order, [g.table for g in sub.group.generators])
+            for sub in fresh.all_normal_subgroups()]
+
+
+def refute_small_groups(p, q, samples, seed):
+    """The distinct transitive groups within the budget among the samples
+    `refute(p, q, samples, seed)` draws."""
+    rng = Random(seed)
+    groups = {}
+    for _ in range(samples):
+        tables = refute_module._draw_generators(p, q, rng)
+        if len(kernels.orbit(0, tables)) < p * q:
+            continue
+        group = PermGroup([Permutation._from_table(t) for t in tables], degree=p * q)
+        if not group.order_exceeds(ENUMERATION_BUDGET):
+            groups.setdefault(frozenset(group.element_tables()), group)
+    return list(groups.values())
+
+
+class TestClassClosureBound:
+    def test_matches_unbounded_growth(self, monkeypatch):
+        # the reference grows every class closure to the end, with no
+        # Lagrange stop: the lattice must not change, and the stop must
+        # save listing
+        groups = (census_groups(5) + census_groups(7)
+                  + refute_small_groups(3, 5, 2000, 1))
+        assert len(groups) > 20
+        listed = [0]
+        extend = kernels.extend_elements
+
+        def counting(subgroup, gens, limit):
+            result = extend(subgroup, gens, limit)
+            listed[0] += 0 if result is None else len(result) - len(subgroup)
+            return result
+
+        monkeypatch.setattr(kernels, "extend_elements", counting)
+        bounded = [lattice_record(group) for group in groups]
+        bounded_listed, listed[0] = listed[0], 0
+        grow = group_module._grow
+        monkeypatch.setattr(group_module, "_grow", lambda elements, gens, candidates, limit:
+                            grow(elements, gens, candidates, ENUMERATION_BUDGET))
+        assert bounded == [lattice_record(group) for group in groups]
+        assert bounded_listed < listed[0]
+
+    def test_s7_closures_stop_at_half(self, monkeypatch):
+        # S_7's normal subgroups are 1, A_7 and S_7.  The first even class
+        # lists A_7 (half of S_7, the only bound then); each later even
+        # class stops past half of A_7, and each odd class past half of S_7
+        s7 = PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)")
+        s7.conjugacy_classes()  # lists S_7 itself
+        sizes = []
+        extend = kernels.extend_elements
+
+        def recording(subgroup, gens, limit):
+            result = extend(subgroup, gens, limit)
+            if result is not None:
+                sizes.append(len(result))
+            return result
+
+        monkeypatch.setattr(kernels, "extend_elements", recording)
+        assert [sub.order for sub in s7.all_normal_subgroups()] == [1, 2520, 5040]
+        assert max(sizes) == 2520
+        assert sum(size > 1260 for size in sizes) == 1
 
 
 def two_transitive_oracle(group):

@@ -143,12 +143,6 @@ def test_no_functions_that_only_call_a_function():
     assert wrappers == [], f"functions that only call another function: {wrappers}"
 
 
-# module-level functions kept without a caller on purpose, with the reason
-UNREACHED_ON_PURPOSE = {
-    "wreath.py:check_index2": "ROADMAP item 2 puts it on refute's evidence path",
-}
-
-
 def test_every_module_function_is_reached():
     # from the names the commands, the public API, the acceptance suite and
     # the benchmark use, follow the bodies of the package's module-level
@@ -176,5 +170,5 @@ def test_every_module_function_is_reached():
                        for module, node in defs
                        if isinstance(node, ast.FunctionDef)
                        and (module, name) not in reached)
-    assert unreached == sorted(UNREACHED_ON_PURPOSE), \
+    assert unreached == [], \
         f"module functions no command, export, acceptance test or benchmark reaches: {unreached}"

@@ -4,7 +4,6 @@ import pytest
 
 from permwit.census import verify_lemma_pq
 from permwit.errors import HypothesisError
-from permwit.group import PermGroup
 from permwit.numthy import (
     euler_phi,
     factorize,
@@ -15,7 +14,6 @@ from permwit.numthy import (
     unit_of_order,
 )
 from permwit.refute import refute
-from permwit.wreath import check_index2
 
 
 def phi_by_counting(n):
@@ -124,14 +122,12 @@ def test_pq_hypothesis_failure_matches_definition():
 
 @pytest.mark.parametrize("p, q", [(2, 5), (3, 7), (4, 7), (5, 3)])
 def test_hypothesis_checks_share_one_message(p, q):
-    # refute, the census divisibility sweep and the index-2 check all raise
-    # the one message of pq_hypothesis_failure
+    # refute and the census divisibility sweep both raise the one message
+    # of pq_hypothesis_failure
     expected = pq_hypothesis_failure(p, q)
     assert expected is not None
-    trivial = PermGroup.trivial(p * q)
     for check in (lambda: refute(p, q, samples=0, seed=1),
-                  lambda: verify_lemma_pq(q, p, []),
-                  lambda: check_index2(trivial, trivial, p, q)):
+                  lambda: verify_lemma_pq(q, p, [])):
         with pytest.raises(HypothesisError) as caught:
             check()
         assert str(caught.value) == expected

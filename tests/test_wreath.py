@@ -2,8 +2,8 @@ from random import Random
 
 import pytest
 
-from permwit.errors import BlockStructureError, HypothesisError, NotASubgroup
-from permwit.group import PermGroup, StabilizerChain, is_normal
+from permwit.errors import BlockStructureError, HypothesisError
+from permwit.group import PermGroup, is_normal
 from permwit.perm import Permutation, parse_cycles
 from permwit.witness import construct_witness
 from permwit.wreath import (
@@ -11,11 +11,10 @@ from permwit.wreath import (
     Embedding,
     WreathElement,
     blocks_from_orbits,
-    check_index2,
     embed,
 )
 
-from samplers import random_block_diagonal_pair, random_permutation
+from samplers import random_permutation
 
 
 def random_wreath(p, q, rng):
@@ -234,87 +233,3 @@ class TestEmbedding:
                 degree=n)
             assert image.order() == w.G.order()
 
-
-class TestIndex2:
-    def test_vacuous_when_p_does_not_divide(self):
-        a = PermGroup.from_cycles(10, "(1 2 3 4 5)(6 7 8 9 10)")
-        r = check_index2(a, PermGroup.trivial(10), 3, 5)
-        assert r.index == 5 and not r.p_divides and r.passed
-
-    def test_a5_squared_over_one_factor(self):
-        a = PermGroup.from_cycles(10, "(1 2 3)", "(3 4 5)", "(6 7 8)", "(8 9 10)")
-        b = PermGroup.from_cycles(10, "(1 2 3)", "(3 4 5)")
-        r = check_index2(a, b, 3, 5)
-        assert r.index == 60 and r.p_divides and r.q_divides and r.passed
-
-    def test_hypothesis_p_divides_q_minus_1_rejected(self):
-        a = PermGroup.from_cycles(10, "(1 2 3 4 5)(6 7 8 9 10)")
-        with pytest.raises(HypothesisError):
-            check_index2(a, PermGroup.trivial(10), 2, 5)
-
-    def test_intransitive_projection_rejected(self):
-        a = PermGroup.from_cycles(10, "(1 2 3)", "(6 7 8 9 10)")
-        with pytest.raises(HypothesisError, match="not transitive"):
-            check_index2(a, PermGroup.trivial(10), 3, 5)
-
-    @pytest.mark.parametrize("degree, a_cycles, match", [
-        (10, ("(1 2 3 4 5)", "(1 6)(2 7)(3 8)(4 9)(5 10)"),
-         r"generator \(1 6\)\(2 7\)\(3 8\)\(4 9\)\(5 10\) moves a block"),
-        (10, ("(1 2 3 4 5)", "(5 6)"),
-         "block 1 is not mapped onto a single block"),
-        (12, ("(1 2 3 4 5)", "(6 7 8 9 10)"),
-         "degree 12 is not a multiple of the block size 5"),
-    ])
-    def test_a_off_the_blocks_rejected(self, degree, a_cycles, match):
-        a = PermGroup.from_cycles(degree, *a_cycles)
-        with pytest.raises(BlockStructureError, match=match):
-            check_index2(a, PermGroup.trivial(degree), 3, 5)
-
-    @pytest.mark.parametrize("b_cycles, error, match", [
-        (("(1 2 3)(6 7 8)", "(3 4 5)(8 9 10)"), HypothesisError, "not normal"),
-        (("(1 6)(2 7)(3 8)(4 9)(5 10)",), NotASubgroup, "not a subgroup"),
-    ])
-    def test_b_rejected(self, b_cycles, error, match):
-        a5sq = PermGroup.from_cycles(10, "(1 2 3)", "(3 4 5)",
-                                     "(6 7 8)", "(8 9 10)")
-        with pytest.raises(error, match=match):
-            check_index2(a5sq, PermGroup.from_cycles(10, *b_cycles), 3, 5)
-
-    def test_no_violation_on_random_normal_pairs(self, monkeypatch):
-        # q = 5, p = 3 over two or three blocks; every normal pair must pass,
-        # with [A:B] read from the two orders: at most the chains of A and
-        # B are built, and no pointwise stabilizer
-        builds = []
-        init = StabilizerChain.__init__
-
-        def counting_init(chain, *args, **kwargs):
-            builds.append(1)
-            init(chain, *args, **kwargs)
-
-        def no_stabilizer(group, points):
-            raise AssertionError("check_index2 built a pointwise stabilizer")
-
-        monkeypatch.setattr(StabilizerChain, "__init__", counting_init)
-        monkeypatch.setattr(PermGroup, "pointwise_stabilizer", no_stabilizer)
-        seed = 5309
-        print(f"index2 random sweep seed: {seed}")
-        rng = Random(seed)
-        checked = 0
-        while checked < 300:
-            a, b, q = random_block_diagonal_pair(rng, max_blocks=3,
-                                                 max_block_size=5)
-            if q != 5:
-                continue
-            nblocks = a.degree // q
-            if not all(
-                    PermGroup([WreathElement.from_permutation(g, nblocks, q).base[i - 1]
-                               for g in a.generators],
-                              degree=q).is_transitive()
-                    for i in range(1, nblocks + 1)):
-                continue
-            builds.clear()
-            r = check_index2(a, b, 3, 5)
-            assert len(builds) <= 2
-            assert r.passed, (a.generators, b.generators)
-            assert r.index == a.order() // b.order()
-            checked += 1
