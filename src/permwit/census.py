@@ -18,10 +18,11 @@ independent dedupes.
 Each census fact is computed once: the sorted element list of S_q is
 closed once per q and shared by the census and the containment check, an
 entry keeps its lattice, its simple transitive normal subgroups and, when
-simple, its normalizer in S_q.  A normal subgroup that is itself an entry
-takes its simplicity from that entry, so no group's lattice is computed
-twice.  `census_report` runs the four checks, and the refutation pipeline
-reads its verdicts from that report.  A failed check is a verdict in the
+simple, its normalizer in S_q.  Entries are built once, smallest order
+first, and a normal subgroup that is itself an entry takes its simplicity
+from that entry, so no group's lattice is computed twice.
+`census_report` runs the four checks, and the refutation pipeline reads
+its verdicts from that report.  A failed check is a verdict in the
 report, not an error: an entry that is neither affine nor doubly
 transitive is listed, and `verify_burnside` reports it as failed.  Only
 the internal cross-checks and sanity checks that no report covers raise.
@@ -85,8 +86,7 @@ class CensusEntry(NamedTuple):
     """A transitive group of degree q.  `normalizer`, its normalizer in S_q,
     is kept for simple entries and is None otherwise.
     `simple_transitive_normals` lists its nontrivial normal subgroups that
-    are transitive and simple, in lattice order; `census` sets it with
-    `_replace` once every entry exists."""
+    are transitive and simple, in lattice order."""
 
     q: int
     group: PermGroup
@@ -96,7 +96,7 @@ class CensusEntry(NamedTuple):
     is_2transitive: bool
     in_affine: bool
     normalizer: Optional[PermGroup]
-    simple_transitive_normals: Tuple[NormalSubgroup, ...] = ()
+    simple_transitive_normals: Tuple[NormalSubgroup, ...]
 
     @property
     def normalizer_index(self) -> Optional[int]:
@@ -160,16 +160,13 @@ def _double_coset(a_elements: Sequence[bytes], g: bytes) -> Set[bytes]:
     return covered
 
 
-def _generating_powers(g: bytes) -> List[bytes]:
+def _generating_powers(g: bytes, limit: int) -> List[bytes]:
     """The powers g^k with k prime to the order of g, g itself first: the
-    elements that generate the same cyclic group as g."""
-    ident = bytes(range(len(g)))
-    step = g + kernels.PADDED_IDENTITY[len(g):]
-    powers = [g]  # powers[k - 1] is g^k
-    while powers[-1] != ident:
-        powers.append(powers[-1].translate(step))
-    order = len(powers)
-    return [x for k, x in enumerate(powers, 1) if math.gcd(k, order) == 1]
+    elements that generate the same cyclic group as g.  They are read from
+    `kernels.close_elements`, whose list of <g> is [1, g, g^2, ...]; the
+    order of g must be at most `limit`."""
+    powers = kernels.close_elements(len(g), [g], limit)
+    return [x for k, x in enumerate(powers) if math.gcd(k, len(powers)) == 1]
 
 
 def _extensions(start: Fingerprint, ambient: Sequence[bytes],
@@ -216,7 +213,7 @@ def _extensions(start: Fingerprint, ambient: Sequence[bytes],
                 exact = tuple(sorted(closure))
                 same_order.append((set(closure), exact))
             yield exact
-        for power in _generating_powers(g):
+        for power in _generating_powers(g, len(ambient)):
             if power not in covered:
                 covered |= _double_coset(start, power)
 
@@ -319,8 +316,10 @@ def census(q: int) -> List[CensusEntry]:
             f"{len(route_a)} classes, element-fingerprint dedupe {len(route_b)}")
 
     cycle_table = standard_cycle(q).table
-    entries = []
-    for exact in route_a:
+    entries: List[CensusEntry] = []
+    # a stable sort of the sorted classes, so entries of equal order keep
+    # their fingerprint order
+    for exact in sorted(route_a, key=len):
         group = group_from_elements(exact, q)
         order = group.order()
         if not group.is_transitive():
@@ -335,16 +334,19 @@ def census(q: int) -> List[CensusEntry]:
         # C is the only Sylow q-subgroup of AGL(1,q), so if u H u^-1 <= AGL
         # then u C u^-1 = C, u normalizes C and lies in AGL, and H <= AGL
         in_aff = agl_set.issuperset(exact)
+        # a normal subgroup of the entry's own order is the entry; every
+        # entry of a smaller order is already listed
+        simple_normals = tuple(
+            sub for sub in normals
+            if sub.order > 1 and sub.group.is_transitive()
+            and (simple if sub.order == order else _is_simple(sub, entries)))
         entries.append(CensusEntry(
             q=q, group=group, order=order, normal_subgroups=normals,
             is_simple=simple, is_2transitive=two_transitive, in_affine=in_aff,
             normalizer=group_from_elements(_normalizer_tables(group, sq_elements), q)
-            if simple else None))
-    entries.sort(key=lambda e: e.order)
-    return [entry._replace(simple_transitive_normals=tuple(
-                sub for sub in entry.normal_subgroups
-                if sub.order > 1 and sub.group.is_transitive() and _is_simple(sub, entries)))
-            for entry in entries]
+            if simple else None,
+            simple_transitive_normals=simple_normals))
+    return entries
 
 
 def _is_simple(sub: NormalSubgroup, entries: List[CensusEntry]) -> bool:

@@ -18,8 +18,8 @@ Python-level kernel.  After one breadth-first pass per level over the
 input generators, a level's orbit and transversal only grow, so each
 Schreier generator is sifted at most once (section 4.4); those of the edges
 that added a point are the identity (Schreier's lemma, section 4.1) and
-are never formed.  `StabilizerChain.adjoin` grows a complete chain by one
-generator the same way, for `normal_closure`.
+are never formed.  A chain is complete when its constructor returns, and
+never changes after that.
 
 Conjugacy classes and the normal-subgroup lattice are enumerated exactly
 for groups of at most ENUMERATION_BUDGET elements; each class is kept as
@@ -86,8 +86,7 @@ class StabilizerChain:
     `PermGroup._tables`.  `base_prefix` forces the given 0-based points to head the base (used
     for pointwise stabilizers).  `order_limit` aborts construction with
     _OrderLimitHit as soon as the transversal-size product exceeds it;
-    a chain that finishes under a limit is a complete, valid chain, and it
-    drops the limit, so `adjoin` may grow it past it.
+    a chain that finishes under a limit is a complete, valid chain.
     """
 
     def __init__(self, degree: int, gen_tables: Sequence[bytes],
@@ -111,8 +110,13 @@ class StabilizerChain:
             self._add_gen(g, 0, self._cover(g))
         for i, b in enumerate(self.base):
             self._extend(i, [b], self._level_gens[i])
-        self._complete(len(self.base) - 1)
-        self._limit = None
+        # check the Schreier condition bottom-up; a failing level yields a
+        # new strong generator at the level where its residue stops
+        # sifting, and the check resumes there
+        i = len(self.base) - 1
+        while i >= 0:
+            stop = self._check_level(i)
+            i = i - 1 if stop is None else stop
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
@@ -135,12 +139,6 @@ class StabilizerChain:
         for gens in self._level_gens[lo:hi + 1]:
             gens.append(padded)
         return padded
-
-    def _adjoin(self, g: bytes, lo: int, hi: int) -> None:
-        # g joins levels lo..hi, and each of their orbits grows by it
-        padded = self._add_gen(g, lo, hi)
-        for i in range(lo, hi + 1):
-            self._extend(i, list(self.transversals[i]), [padded])
 
     def _extend(self, i: int, points: List[int], gens: List[bytes]) -> None:
         # walk level i's orbit graph on `gens` from `points`, then on every
@@ -187,24 +185,6 @@ class StabilizerChain:
     def sift(self, table: bytes) -> bytes:
         return self._sift_from(0, table)
 
-    def adjoin(self, table: bytes) -> bool:
-        """Grow this complete chain in place into a chain of <G, table>;
-        False, changing nothing, when table already lies in G."""
-        if self.contains(table):
-            return False
-        d = self._cover(table)
-        self._adjoin(table, 0, d)
-        self._complete(d)
-        return True
-
-    def _complete(self, i: int) -> None:
-        # check the Schreier condition bottom-up from level i; a failing
-        # level yields a new strong generator at the level where its residue
-        # stops sifting, and the check resumes there
-        while i >= 0:
-            stop = self._check_level(i)
-            i = i - 1 if stop is None else stop
-
     def _check_level(self, i: int) -> Optional[int]:
         trans = self.transversals[i]
         inverses = self._inverses[i]
@@ -224,7 +204,10 @@ class StabilizerChain:
             if residue == ident:
                 continue
             j = self._cover(residue)  # where it stopped sifting, or a new level
-            self._adjoin(residue, i + 1, j)
+            # the residue joins levels i+1..j, and each of their orbits grows by it
+            padded = self._add_gen(residue, i + 1, j)
+            for k in range(i + 1, j + 1):
+                self._extend(k, list(self.transversals[k]), [padded])
             return j
         return None
 
@@ -393,8 +376,9 @@ class PermGroup:
         """Smallest normal subgroup of this group containing the seeds.
 
         Fixed-point iteration: conjugate the current generating set by the
-        group's generators until nothing new appears.  One chain, built on
-        the seeds, grows in place with each new conjugate (`adjoin`).
+        group's generators until nothing new appears.  Each conjugate is
+        sifted into the chain of the current set, and the chain is built
+        again after each new one.
         """
         ident = bytes(range(self._degree))
         current: List[bytes] = []
@@ -412,8 +396,9 @@ class PermGroup:
             for g in self._tables:
                 for h in list(current):
                     c = kernels.conjugate(h, g)
-                    if chain.adjoin(c):
+                    if not chain.contains(c):
                         current.append(c)
+                        chain = StabilizerChain(self._degree, current)
                         changed = True
         return PermGroup([Permutation._from_table(t) for t in current],
                          degree=self._degree)
@@ -514,9 +499,6 @@ class PermGroup:
                 subs.setdefault(mask, gens)
         atoms = list(subs.items())[1:]  # the class closures, without the trivial subgroup
         orders = {mask: order_of(mask) for mask in subs}
-        by_order: Dict[int, List[int]] = {}  # order -> the masks of that order
-        for mask, order in orders.items():
-            by_order.setdefault(order, []).append(mask)
         joined: Set[int] = set()
         work = list(subs)
         for mask_i in work:
@@ -527,14 +509,13 @@ class PermGroup:
                     continue
                 joined.add(union)
                 order = orders[mask_i] * orders[mask_j] // order_of(mask_i & mask_j)
-                if any(m & union == union for m in by_order.get(order, ())):
+                if any(o == order and m & union == union for m, o in orders.items()):
                     continue
                 gens = gens_i + [g for g in gens_j if g not in gens_i]
                 mask = mask_of(kernels.close_elements(self._degree, gens, total))
                 assert mask not in subs and order_of(mask) == order
                 subs[mask] = gens
                 orders[mask] = order
-                by_order.setdefault(order, []).append(mask)
                 work.append(mask)
         entries = []
         for mask, gens in subs.items():

@@ -206,9 +206,9 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable) -> Optional[Tuple[int, ..
         return (0,)
     gens = _greedy_generators(t1)
     orders1 = [t1.element_order(i) for i in range(m)]
-    by_order: Dict[int, List[int]] = {}
+    t2_of_order: Dict[int, List[int]] = {}
     for i in range(m):
-        by_order.setdefault(t2.element_order(i), []).append(i)
+        t2_of_order.setdefault(t2.element_order(i), []).append(i)
 
     nodes = 0
     images: List[int] = []
@@ -227,7 +227,7 @@ def find_isomorphism(t1: CayleyTable, t2: CayleyTable) -> Optional[Tuple[int, ..
             if len(set(phi.values())) != m:
                 return None
             return phi
-        for cand in by_order.get(orders1[gens[k]], ()):
+        for cand in t2_of_order.get(orders1[gens[k]], ()):
             nodes += 1
             if nodes > ISO_NODE_BUDGET:
                 raise IsomorphismUndecided(
