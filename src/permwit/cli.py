@@ -23,13 +23,14 @@ from typing import Optional
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.errors import PermwitError
 from permwit.groupfile import parse_multi_group_file
-from permwit.refute import refute, worker_processes
+from permwit.refute import refute
 from permwit.witness import (
     construct_witness,
     valid_primes,
     verify_candidate,
     verify_witness,
 )
+from permwit.workers import worker_processes
 from permwit.wreath import embed
 from permwit.numthy import factorize, pq_hypothesis_failure
 

@@ -20,33 +20,34 @@ samples at a time, so that memory does not grow with the sample count:
 1. Draw: the batch's generator tables, in sample order, from one
    Random(seed) stream, in this process.
 2. Screen: each sample is intransitive, over ENUMERATION_BUDGET, or small
-   with its order; in worker processes, many samples per task.
+   with its order; spread over the workers, many samples per chunk.
 3. Dedupe: in this process, in sample order.  A small sample whose order
    equals that of a group already listed, and whose generators all lie
    in that group's stabilizer chain, is the same group; otherwise its
    group is listed.  Chains are built only for small samples.
-4. Analyse: each listed group once, in worker processes, one group per
-   task, since their costs are very uneven; then each small sample adds
-   its group's outcome to the report, in sample order.  A counterexample
-   entry lists the generators of the first sample that produced its
-   group.
+4. Analyse: each listed group once, spread over the workers, one group
+   per chunk, since their costs are very uneven; then each small sample
+   adds its group's outcome to the report, in sample order.  A worker
+   builds the group again from its generator tables, so the elements and
+   lattice of an analysed group live only as long as its analysis.  A
+   counterexample entry lists the generators of the first sample that
+   produced its group.
 
-There is one worker process per CPU this process may run on, forked; with
-one CPU, no fork or no sample, the same functions run in process.  Every
-worker function depends on its input alone, results come back in input
-order, and all that depends on order (the draw, the dedupe and the sums)
-runs in this process, so the report cannot depend on the number of
-workers or on which finishes first.  Reports are byte-for-byte
-deterministic given (p, q, samples, seed); the command line times the
-run and prints the time and the worker count on stderr only.
+The screen and the analysis go through `workers.map_in_order`: this
+process and one forked child per further CPU it may run on, each on its
+own CPU; with one CPU, no fork or too little work, the same functions run
+in process.  Every worker function depends on its input alone, results
+come back in input order, and all that depends on order (the draw, the
+dedupe and the sums) runs in this process, so the report cannot depend on
+the number of workers or on which finishes first.  Reports are
+byte-for-byte deterministic given (p, q, samples, seed); the command line
+times the run and prints the time and the worker count on stderr only.
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
 from random import Random
-from typing import Callable, Dict, Iterator, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from permwit.errors import BudgetExceeded, HypothesisError
 from permwit.group import ENUMERATION_BUDGET, PermGroup
@@ -54,6 +55,7 @@ from permwit.numthy import pq_hypothesis_failure
 from permwit.perm import MAX_DEGREE, Permutation
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.witness import verify_candidate
+from permwit.workers import map_in_order, worker_processes
 from permwit.wreath import wreath_table
 
 METHOD = (
@@ -167,14 +169,11 @@ def _screen(tables: List[bytes]) -> Optional[int]:
     return group.order()
 
 
-class _SampleOutcome(NamedTuple):
-    pairs: int
-    counterexamples: List[dict]
-
-
-def _analyze_sample(group: PermGroup) -> _SampleOutcome:
-    """Compare every (transitive, intransitive) pair of normal subgroups of
-    a transitive group within ENUMERATION_BUDGET."""
+def _analyze_sample(tables: List[bytes]) -> Tuple[int, List[dict]]:
+    """The number of equal-index (transitive, intransitive) pairs of normal
+    subgroups of the group generated by `tables`, which must be transitive
+    and within ENUMERATION_BUDGET, and the counterexamples among them."""
+    group = _group(tables)
     pairs = 0
     counterexamples = []
     normals = group.all_normal_subgroups()
@@ -196,81 +195,17 @@ def _analyze_sample(group: PermGroup) -> _SampleOutcome:
                     "index": n1.index,
                     "order": group.order(),
                 })
-    return _SampleOutcome(pairs, counterexamples)
+    return pairs, counterexamples
 
 
 # samples drawn, screened and deduped together
 _BATCH = 10_000
 
-# samples per screening task: a sample takes microseconds to screen, so a
-# task carries many, but few enough that the workers finish together (at
-# refute-15's 2000 samples, Pool.map's default of 250 per task left one
-# worker idle for about 15 ms of a 60 ms screen)
+# samples per screening chunk: a sample takes microseconds to screen, so a
+# chunk carries many, but few enough that the workers finish together (at
+# refute-15's 2000 samples, tasks of 250 left one worker idle for about
+# 15 ms of a 60 ms screen)
 _SCREEN_CHUNK = 50
-
-
-def _cpus() -> List[int]:
-    """The CPUs this process may run on."""
-    try:
-        return sorted(os.sched_getaffinity(0))
-    except AttributeError:  # no CPU affinity on this platform
-        return list(range(os.cpu_count() or 1))
-
-
-def worker_processes(samples: int) -> int:
-    """The number of worker processes `refute` starts for `samples`
-    samples: one per CPU this process may run on, or none when there is
-    no sample, one CPU or no fork, and the work then runs in process."""
-    if samples == 0 or not hasattr(os, "fork"):
-        return 0
-    cpus = len(_cpus())
-    return cpus if cpus > 1 else 0
-
-
-def _pin_worker(cpus: List[int]) -> None:
-    """Keep this pool worker on one CPU of `cpus`.
-
-    A forked process starts on its parent's CPU, and the kernel may leave
-    it there for longer than a pool lives, so that the workers take turns
-    on one CPU.  Pool workers are numbered consecutively, so the workers
-    of a pool of len(cpus) processes take distinct CPUs."""
-    import multiprocessing
-
-    number = multiprocessing.current_process()._identity[-1]
-    try:
-        os.sched_setaffinity(0, {cpus[number % len(cpus)]})
-    except OSError:
-        # never raise: the pool would start a worker whose initializer
-        # failed again, without end
-        pass
-
-
-@contextmanager
-def _worker_map(processes: int) -> Iterator[Callable[[Callable, list, int], list]]:
-    """Yield a map(func, items, chunksize) that returns func of each item
-    in item order, over a fork-context pool of `processes` workers, one
-    per CPU; with no processes it is the builtin map, in process.  The
-    pool is closed and joined on exit."""
-    if processes == 0:
-        yield lambda func, items, chunksize: list(map(func, items))
-        return
-    import multiprocessing  # only here: the import costs time and memory
-
-    # fork, not spawn: a spawned worker starts a new interpreter and imports
-    # permwit, about 0.13 s on a 2-core VM, more than the workers save on a
-    # 2000-sample run.  A forked worker flushes the standard streams it
-    # inherits when it exits, but the fork start method flushes both before
-    # each fork, so nothing written earlier is written twice.
-    pin = _pin_worker if hasattr(os, "sched_setaffinity") else None
-    pool = multiprocessing.get_context("fork").Pool(processes, pin, (_cpus(),))
-    try:
-        yield pool.map
-    except BaseException:
-        pool.terminate()
-        raise
-    finally:
-        pool.close()
-        pool.join()
 
 
 def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
@@ -294,29 +229,31 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
     # equal order whose generators lie in a listed group's chain is that
     # group
     groups: List[PermGroup] = []
+    listed_tables: List[List[bytes]] = []  # per listed group, its first sample's tables
     same_order: Dict[int, List[int]] = {}
     group_of: List[int] = []  # per small sample, its index in `groups`
-    with _worker_map(worker_processes(samples)) as map_in_order:
-        for start in range(0, samples, _BATCH):
-            drawn = [_draw_generators(p, q, rng)
-                     for _ in range(min(_BATCH, samples - start))]
-            screened = map_in_order(_screen, drawn, _SCREEN_CHUNK)
-            for tables, order in zip(drawn, screened):
-                if order is None:
-                    continue
-                transitive_found += 1
-                if order == 0:
-                    skipped_large += 1
-                    continue
-                listed = same_order.setdefault(order, [])
-                k = next((k for k in listed
-                          if all(groups[k].chain.contains(t) for t in tables)), None)
-                if k is None:
-                    k = len(groups)
-                    groups.append(_group(tables))
-                    listed.append(k)
-                group_of.append(k)
-        outcomes = map_in_order(_analyze_sample, groups, 1)
+    processes = worker_processes(samples)
+    for start in range(0, samples, _BATCH):
+        drawn = [_draw_generators(p, q, rng)
+                 for _ in range(min(_BATCH, samples - start))]
+        screened = map_in_order(processes, _screen, drawn, _SCREEN_CHUNK)
+        for tables, order in zip(drawn, screened):
+            if order is None:
+                continue
+            transitive_found += 1
+            if order == 0:
+                skipped_large += 1
+                continue
+            listed = same_order.setdefault(order, [])
+            k = next((k for k in listed
+                      if all(groups[k].chain.contains(t) for t in tables)), None)
+            if k is None:
+                k = len(groups)
+                groups.append(_group(tables))
+                listed_tables.append(tables)
+                listed.append(k)
+            group_of.append(k)
+    outcomes = map_in_order(processes, _analyze_sample, listed_tables, 1)
     # each small sample adds its group's outcome, in sample order
     return RefutationReport(
         p=p, q=q, degree=p * q,
@@ -330,6 +267,6 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
         transitive_found=transitive_found,
         skipped_large=skipped_large,
         small_groups_tested=len(group_of),
-        pairs_tested=sum(outcomes[k].pairs for k in group_of),
-        counterexamples=[c for k in group_of for c in outcomes[k].counterexamples],
+        pairs_tested=sum(outcomes[k][0] for k in group_of),
+        counterexamples=[c for k in group_of for c in outcomes[k][1]],
     )

@@ -1,10 +1,12 @@
 import math
+import os
 import types
 
 import pytest
 
 from permwit import census as census_module
 from permwit import kernels
+from permwit import workers as workers_module
 from permwit.errors import BudgetExceeded, HypothesisError, PermwitError
 from permwit.group import PermGroup, StabilizerChain, group_from_elements
 from permwit.census import (
@@ -38,6 +40,12 @@ def census5():
 @pytest.fixture(scope="module")
 def census7():
     return census(7)
+
+
+def on_cpus(monkeypatch, count):
+    """Make the worker map see `count` CPUs: with one the census routes run
+    one after the other in this process, with two side by side at q = 7."""
+    monkeypatch.setattr(workers_module, "_cpus", lambda: list(range(count)))
 
 
 class TestAffineGroup:
@@ -214,6 +222,24 @@ class TestContainment:
 
 
 class TestReports:
+    def test_report_does_not_depend_on_the_worker_count(self, monkeypatch):
+        for q in (5, 7):
+            reports = []
+            for cpus in (1, 2):
+                on_cpus(monkeypatch, cpus)
+                reports.append(census_report(q))
+            assert reports[0] == reports[1]
+
+    def test_small_census_starts_no_process(self, monkeypatch):
+        # at q = 5 a route takes about as long as a fork round trip
+        on_cpus(monkeypatch, 2)
+
+        def no_fork():
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert [e.order for e in census(5)] == [5, 10, 20, 60, 120]
+
     def test_census_report_shape(self, census5):
         r = census_report(5)
         assert r["passed"] and r["complete"]
@@ -222,6 +248,8 @@ class TestReports:
         assert all(w["passed"] for w in r["wielandt"])
 
     def test_each_census_fact_is_computed_once(self, monkeypatch):
+        # on one CPU, so that the records see both routes' work
+        on_cpus(monkeypatch, 1)
         calls = {"normalizer": 0}
         normalizer_tables = census_module._normalizer_tables
 
@@ -271,7 +299,9 @@ class TestReports:
 
     def test_power_rule_bounds_chain_builds(self, monkeypatch):
         # handling g covers the double cosets of its generating powers, so
-        # no chain is built for a closure already known to be <A, g>
+        # no chain is built for a closure already known to be <A, g>; on one
+        # CPU, so that the count covers both routes
+        on_cpus(monkeypatch, 1)
         builds = []
         init = StabilizerChain.__init__
 
@@ -466,5 +496,7 @@ class TestExtensions:
             return result[:-len(subgroup)]
 
         monkeypatch.setattr(census_module, "kernels", _census_kernels(dropping))
-        with pytest.raises(PermwitError, match="stabilizer chain"):
-            census(7)
+        for cpus in (1, 2):  # with two, one route runs in a forked child
+            on_cpus(monkeypatch, cpus)
+            with pytest.raises(PermwitError, match="stabilizer chain"):
+                census(7)

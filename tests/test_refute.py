@@ -5,21 +5,23 @@ statement exist, the analysis must find them.  The cache: a group drawn
 more than once, from any generating set, is analysed once.  The draw:
 one seeded stream gives the same tables in every version.  The workers:
 the report is the same whatever the number of worker processes or of
-batches, and no worker outlives the call."""
+batches, no worker outlives the call, and an error in a worker reaches
+the caller."""
 
 import hashlib
-import multiprocessing
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
 import pytest
 
 import permwit.refute as refute_module
+import permwit.workers as workers_module
 from permwit import kernels
+from permwit.census import census
+from permwit.errors import BudgetExceeded
 from permwit.group import ENUMERATION_BUDGET, PermGroup
 from permwit.perm import Permutation, parse_cycles
 from permwit.refute import _analyze_sample
@@ -31,10 +33,10 @@ from permwit.wreath import WreathElement
 def test_analysis_reports_witness_counterexamples(n, p):
     w = construct_witness(n, p)
     assert w.G.is_transitive() and not w.G.order_exceeds(ENUMERATION_BUDGET)
-    outcome = _analyze_sample(w.G)
-    assert outcome.pairs >= 1
-    assert outcome.counterexamples
-    for found in outcome.counterexamples:
+    pairs, counterexamples = _analyze_sample([g.table for g in w.G.generators])
+    assert pairs >= 1
+    assert counterexamples
+    for found in counterexamples:
         g_group, n1, n2 = (PermGroup.from_cycles(n, *found[key])
                            for key in ("G", "N1", "N2"))
         assert verify_candidate(g_group, n1, n2).passed
@@ -61,9 +63,9 @@ def test_draw_stream_is_pinned(p, q):
 
 
 def on_cpus(monkeypatch, count):
-    """Make refute see `count` CPUs: one runs everything in process, two
-    start two worker processes."""
-    monkeypatch.setattr(refute_module, "_cpus", lambda: list(range(count)))
+    """Make the worker map see `count` CPUs: one runs everything in
+    process, two spread the work over this process and a forked child."""
+    monkeypatch.setattr(workers_module, "_cpus", lambda: list(range(count)))
 
 
 def record_analysis(monkeypatch):
@@ -77,19 +79,15 @@ def record_analysis(monkeypatch):
         samples.append(tables)
         return tables
 
-    worker_map = refute_module._worker_map
+    map_in_order = refute_module.map_in_order
 
-    @contextmanager
-    def recording_worker_map(processes):
-        with worker_map(processes) as map_in_order:
-            def recording_map(func, items, chunksize):
-                if func is _analyze_sample:
-                    orders.extend(group.order() for group in items)
-                return map_in_order(func, items, chunksize)
-            yield recording_map
+    def recording_map(processes, func, items, chunksize):
+        if func is _analyze_sample:
+            orders.extend(refute_module._group(tables).order() for tables in items)
+        return map_in_order(processes, func, items, chunksize)
 
     monkeypatch.setattr(refute_module, "_draw_generators", recording_draw)
-    monkeypatch.setattr(refute_module, "_worker_map", recording_worker_map)
+    monkeypatch.setattr(refute_module, "map_in_order", recording_map)
     return samples, orders
 
 
@@ -161,23 +159,19 @@ def test_samples_are_held_one_batch_at_a_time(monkeypatch):
     # the dedupe and the sums keep sample order across batches
     expected = {seed: refute_module.refute(3, 5, 2000, seed).to_json_dict()
                 for seed in (1, 2)}
-    worker_map = refute_module._worker_map
+    map_in_order = refute_module.map_in_order
     screened = []  # the sample count of each screen map
 
-    @contextmanager
-    def recording_worker_map(processes):
-        with worker_map(processes) as map_in_order:
-            def recording_map(func, items, chunksize):
-                if func is refute_module._screen:
-                    screened.append(len(items))
-                return map_in_order(func, items, chunksize)
-            yield recording_map
+    def recording_map(processes, func, items, chunksize):
+        if func is refute_module._screen:
+            screened.append(len(items))
+        return map_in_order(processes, func, items, chunksize)
 
     for cpus in (1, 2):
         for seed in (1, 2):
             on_cpus(monkeypatch, cpus)
             monkeypatch.setattr(refute_module, "_BATCH", 300)
-            monkeypatch.setattr(refute_module, "_worker_map", recording_worker_map)
+            monkeypatch.setattr(refute_module, "map_in_order", recording_map)
             screened.clear()
             report = refute_module.refute(3, 5, 2000, seed).to_json_dict()
             monkeypatch.undo()
@@ -186,16 +180,18 @@ def test_samples_are_held_one_batch_at_a_time(monkeypatch):
 
 
 def test_importing_the_cli_does_not_import_multiprocessing():
-    # every workload imports permwit.refute, and the import of
-    # multiprocessing counts toward its setup time, so only a run that
-    # starts workers may import it
+    # importing multiprocessing cost 14-22 ms a call, so neither the CLI's
+    # import nor a run that forks workers may load it
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import permwit.cli; "
+            "import permwit.census as c, permwit.refute as r, permwit.workers as w; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')); "
+            "w._cpus = lambda: [0, 1]; r.refute(3, 5, 50, 1); c.census_report(7); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
     done = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[]\n[]\n"
 
 
 def test_importing_permwit_does_not_import_dataclasses():
@@ -212,11 +208,30 @@ def test_importing_permwit_does_not_import_dataclasses():
     assert done.stdout == "[]\n"
 
 
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_no_worker_outlives_refute(monkeypatch):
     on_cpus(monkeypatch, 2)
     report = refute_module.refute(3, 5, 200, 1)
     assert report.samples_tested == 200
-    assert multiprocessing.active_children() == []
+    assert_no_child_left()
+    assert len(census(7)) == 7
+    assert_no_child_left()
+
+
+def test_a_worker_error_reaches_the_caller(monkeypatch):
+    on_cpus(monkeypatch, 2)
+
+    def failing(tables):
+        raise BudgetExceeded("x")
+
+    monkeypatch.setattr(refute_module, "_analyze_sample", failing)
+    with pytest.raises(BudgetExceeded, match="^x$"):
+        refute_module.refute(3, 5, 200, 1)
+    assert_no_child_left()
 
 
 def test_no_sample_starts_no_process(monkeypatch):
@@ -235,9 +250,9 @@ def test_output_written_before_refute_is_written_once():
     # exits, so buffered output must be flushed before the workers start
     src = str(Path(__file__).resolve().parent.parent / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import permwit.refute as r; r._cpus = lambda: [0, 1]; "
-            "print('before'); print(r.refute(3, 5, 50, 1).samples_tested)")
+            "import permwit.refute as r, permwit.workers as w; w._cpus = lambda: [0, 1]; "
+            "print('before'); print(r.refute(3, 5, 200, 1).samples_tested)")
     done = subprocess.run([sys.executable, "-c", code, src],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "before\n50\n"
+    assert done.stdout == "before\n200\n"
