@@ -13,11 +13,11 @@ complete element-set enumeration partitioned into classes afterwards.
 Both routes run one breadth-first driver, `_overgroups`, over the sorted
 element list of S_q, each with its own start group, canonical form and
 sweeps; they share no sweep or closure, so the cross-check compares two
-independent dedupes.  At q = 7, with more than one CPU, the two routes run
-side by side, one in this process and one in a forked child
-(`workers.map_in_order`); at q <= 5 each route takes about as long as a
-fork round trip, and both run in process.  The census is the same either
-way.
+independent dedupes.  The routes are the two items of one
+`workers.map_in_order`: at q = 7 each is a chunk of its own, so with more
+than one CPU one runs in a forked child; at q <= 5 a route takes about as
+long as a fork round trip, so both share one chunk and run in process.
+The census is the same either way.
 
 Each census fact is computed once: the sorted element list of S_q is
 closed once per q and shared by the census and the containment check, an
@@ -67,10 +67,10 @@ from permwit.numthy import is_prime, pq_hypothesis_failure, primitive_root
 from permwit.perm import MAX_DEGREE, Permutation
 from permwit.quotient import is_cyclic, quotient
 from permwit.witness import build_sigma, standard_cycle
-from permwit.workers import map_in_order, worker_processes
+from permwit.workers import map_in_order
 
 EXACT_LIMIT = 7
-# the size of S_q from which the two census routes run side by side: a fork
+# the size of S_q from which each route is a chunk of its own: a fork
 # round trip costs about 2.5 ms, and each route about 1 ms at q = 5 (120
 # elements) and 25 ms at q = 7 (5040 elements), on a 2-core VM
 _SIDE_BY_SIDE_FROM = 1000
@@ -322,8 +322,8 @@ def census(q: int) -> List[CensusEntry]:
         lambda: _partition_into_classes(_enumerate_all_overgroups(q, sq_elements),
                                         agl_elements),
     )
-    processes = worker_processes(len(routes)) if len(sq_elements) >= _SIDE_BY_SIDE_FROM else 0
-    route_a, route_b = map_in_order(processes, lambda route: route(), routes, 1)
+    chunksize = 1 if len(sq_elements) >= _SIDE_BY_SIDE_FROM else len(routes)
+    route_a, route_b = map_in_order(lambda route: route(), routes, chunksize)
     if route_a != route_b:
         raise PermwitError(
             f"census cross-check failed for q={q}: AGL-dedupe found "

@@ -20,6 +20,7 @@ import sys
 import time
 from typing import Optional
 
+from permwit import workers
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.errors import PermwitError
 from permwit.groupfile import parse_multi_group_file
@@ -30,7 +31,6 @@ from permwit.witness import (
     verify_candidate,
     verify_witness,
 )
-from permwit.workers import worker_processes
 from permwit.wreath import embed
 from permwit.numthy import factorize, pq_hypothesis_failure
 
@@ -130,12 +130,12 @@ def cmd_refute(args: argparse.Namespace) -> int:
     report = refute(args.p, args.q, samples=args.samples, seed=args.seed)
     elapsed = time.monotonic() - start
     _emit({"command": "refute", **report.to_json_dict()})
+    cpus = len(workers._cpus())  # the CPUs the worker maps may use
     _info(f"refute p={args.p} q={args.q}: {report.verdict} "
           f"({report.samples_tested} samples, "
           f"{report.small_groups_tested} within budget, "
-          f"{report.counterexamples_found} counterexamples, "
-          f"{worker_processes(report.samples_tested)} worker processes) "
-          f"in {elapsed:.1f}s")
+          f"{report.counterexamples_found} counterexamples) "
+          f"on {cpus} CPU{'' if cpus == 1 else 's'} in {elapsed:.1f}s")
     return EXIT_PASS if report.passed else EXIT_MATH_FAIL
 
 

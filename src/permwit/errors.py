@@ -45,8 +45,9 @@ class IsomorphismUndecided(PermwitError, RuntimeError):
 
 
 class GroupFileError(PermwitError, ValueError):
-    """A group file could not be parsed. `line` is 1-based."""
+    """A group file could not be parsed. `line` is 1-based, or None for a
+    problem of the whole file."""
 
-    def __init__(self, message: str, line: int):
-        super().__init__(f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None):
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line

@@ -35,9 +35,9 @@ def _content_lines(text: str) -> List[Tuple[int, str]]:
     return out
 
 
-def _parse_section(lines: List[Tuple[int, str]]) -> PermGroup:
+def _parse_section(lines: List[Tuple[int, str]], rule: int) -> PermGroup:
     if not lines:
-        raise GroupFileError("empty group section", 0)
+        raise GroupFileError("empty group section", rule)
     lineno, first = lines[0]
     m = _DEGREE_RE.match(first)
     if not m:
@@ -63,16 +63,20 @@ def _parse_section(lines: List[Tuple[int, str]]) -> PermGroup:
 
 def parse_multi_group_text(text: str) -> List[PermGroup]:
     sections: List[List[Tuple[int, str]]] = [[]]
+    rules: List[int] = []  # the lines of the `---` separators
     for lineno, line in _content_lines(text):
         if line == "---":
+            rules.append(lineno)
             sections.append([])
         else:
             sections[-1].append((lineno, line))
     if len(sections) != MULTI_GROUP_COUNT:
         raise GroupFileError(
             f"expected {MULTI_GROUP_COUNT} groups separated by '---' lines, "
-            f"found {len(sections)} sections", 0)
-    return [_parse_section(s) for s in sections]
+            f"found {len(sections)} sections")
+    # an empty section is named by the `---` that closes it, the last by its opener
+    return [_parse_section(s, rules[min(k, len(rules) - 1)])
+            for k, s in enumerate(sections)]
 
 
 def _read_text(path: str) -> str:

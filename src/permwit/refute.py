@@ -33,15 +33,15 @@ samples at a time, so that memory does not grow with the sample count:
    counterexample entry lists the generators of the first sample that
    produced its group.
 
-The screen and the analysis go through `workers.map_in_order`: this
-process and one forked child per further CPU it may run on, each on its
-own CPU; with one CPU, no fork or too little work, the same functions run
-in process.  Every worker function depends on its input alone, results
-come back in input order, and all that depends on order (the draw, the
-dedupe and the sums) runs in this process, so the report cannot depend on
-the number of workers or on which finishes first.  Reports are
-byte-for-byte deterministic given (p, q, samples, seed); the command line
-times the run and prints the time and the worker count on stderr only.
+The screen and the analysis go through `workers.map_in_order`: one
+worker per chunk, up to one per CPU, each on its own CPU; with one chunk,
+one CPU or no fork, the same functions run in process.  Every worker
+function depends on its input alone, results come back in input order,
+and all that depends on order (the draw, the dedupe and the sums) runs in
+this process, so the report cannot depend on the number of workers or on
+which finishes first.  Reports are byte-for-byte deterministic given (p,
+q, samples, seed); the command line times the run and prints the time and
+the CPU count on stderr only.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from permwit.numthy import pq_hypothesis_failure
 from permwit.perm import MAX_DEGREE, Permutation
 from permwit.census import EXACT_LIMIT, census_report
 from permwit.witness import verify_candidate
-from permwit.workers import map_in_order, worker_processes
+from permwit.workers import map_in_order
 from permwit.wreath import wreath_table
 
 METHOD = (
@@ -232,11 +232,10 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
     listed_tables: List[List[bytes]] = []  # per listed group, its first sample's tables
     same_order: Dict[int, List[int]] = {}
     group_of: List[int] = []  # per small sample, its index in `groups`
-    processes = worker_processes(samples)
     for start in range(0, samples, _BATCH):
         drawn = [_draw_generators(p, q, rng)
                  for _ in range(min(_BATCH, samples - start))]
-        screened = map_in_order(processes, _screen, drawn, _SCREEN_CHUNK)
+        screened = map_in_order(_screen, drawn, _SCREEN_CHUNK)
         for tables, order in zip(drawn, screened):
             if order is None:
                 continue
@@ -253,7 +252,7 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
                 listed_tables.append(tables)
                 listed.append(k)
             group_of.append(k)
-    outcomes = map_in_order(processes, _analyze_sample, listed_tables, 1)
+    outcomes = map_in_order(_analyze_sample, listed_tables, 1)
     # each small sample adds its group's outcome, in sample order
     return RefutationReport(
         p=p, q=q, degree=p * q,

@@ -1,12 +1,12 @@
 """One fork-and-pipe map, by which `census` and `refute` spread their work
 over the CPUs this process may run on.
 
-`map_in_order(processes, func, items, chunksize)` returns func of each
-item, in item order.  The items are cut into chunks of `chunksize`.  The
-caller is worker 0 and forks min(processes, chunks) - 1 more; with at most
-one worker the map is the builtin one, in process.  Each worker runs on
-its own CPU, and the caller's own CPU affinity is restored when the map
-returns or raises.
+`map_in_order(func, items, chunksize)` returns func of each item, in item
+order.  The items are cut into chunks of `chunksize`; the caller is worker
+0 and forks one more per further chunk, up to one worker per CPU that
+`_cpus` names.  With at most one worker the map is the builtin one, in
+process.  Each worker runs on its own CPU, and the caller's own CPU
+affinity is restored when the map returns or raises.
 
 - *Dealing.*  Workers claim chunk indices from one shared counter, which
   travels through a pipe as a 4-byte token: a worker reads it, so that
@@ -42,22 +42,12 @@ _Failure = Tuple[int, BaseException]
 
 
 def _cpus() -> List[int]:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on, or only the first without `os.fork`."""
     try:
-        return sorted(os.sched_getaffinity(0))
+        cpus = sorted(os.sched_getaffinity(0))
     except AttributeError:  # no CPU affinity on this platform
-        return list(range(os.cpu_count() or 1))
-
-
-def worker_processes(items: int) -> int:
-    """The number of processes, this one included, that `map_in_order`
-    may spread `items` items over: one per CPU this process may run on, or
-    none when there is no item, one CPU or no fork, and the work then runs
-    in process."""
-    if items == 0 or not hasattr(os, "fork"):
-        return 0
-    cpus = len(_cpus())
-    return cpus if cpus > 1 else 0
+        cpus = list(range(os.cpu_count() or 1))
+    return cpus if hasattr(os, "fork") else cpus[:1]
 
 
 def _pin(cpu: int) -> None:
@@ -153,15 +143,15 @@ def _reap(pid: int) -> int:
     return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
-def map_in_order(processes: int, func: Callable, items: Sequence, chunksize: int) -> list:
-    """[func(x) for x in items], spread over min(processes, chunks) workers
-    (this process and forked children), each on its own CPU; see the
-    module docstring."""
+def map_in_order(func: Callable, items: Sequence, chunksize: int) -> list:
+    """[func(x) for x in items], spread over one worker per chunk, up to
+    one per CPU (this process and forked children), each on its own CPU;
+    see the module docstring."""
     chunks = -(-len(items) // chunksize)
-    workers = min(processes, chunks)
+    cpus = _cpus()
+    workers = min(len(cpus), chunks)
     if workers <= 1:
         return [func(x) for x in items]
-    cpus = _cpus()
     affinity = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else None
     token = os.pipe()
     children: List[Tuple[int, int]] = []  # (pid, read end of its pipe), not yet reaped
@@ -178,7 +168,7 @@ def map_in_order(processes: int, func: Callable, items: Sequence, chunksize: int
                 os.close(write_end)
                 raise
             if pid == 0:
-                _child(func, items, chunksize, chunks, token, cpus[k % len(cpus)], write_end)
+                _child(func, items, chunksize, chunks, token, cpus[k], write_end)
             os.close(write_end)
             children.append((pid, read_end))
         _pin(cpus[0])

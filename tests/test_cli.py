@@ -15,6 +15,7 @@ import permwit.group as group_module
 import permwit.quotient as quotient_module
 import permwit.refute as refute_module
 import permwit.witness as witness_module
+import permwit.workers as workers_module
 import permwit.wreath as wreath_module
 from permwit.cli import main
 from permwit.group import PermGroup
@@ -127,6 +128,18 @@ class TestVerifyCommand:
         assert code == 2 and payload is None
         assert "line 2" in err
 
+    @pytest.mark.parametrize("text, message", [
+        ("degree: 2\n(1 2)\n---\n---\ndegree: 1\n", "line 4: empty group section"),
+        ("degree: 2\n---\ndegree: 2\n",
+         "expected 3 groups separated by '---' lines, found 2 sections"),
+    ])
+    def test_whole_file_problems_name_no_line_0(self, capsys, tmp_path, text, message):
+        path = tmp_path / "bad.grp"
+        path.write_text(text)
+        code, payload, err = run_cli(capsys, "verify", str(path))
+        assert code == 2 and payload is None
+        assert err == f"error: {message}\n"
+
     def test_missing_file(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "/nonexistent/file.grp")
         assert code == 2
@@ -224,12 +237,20 @@ class TestRefuteCommand:
         assert "consistent" in err
         assert re.search(r" in \d+\.\ds$", err.strip())
 
-    def test_stderr_names_the_worker_processes(self, capsys):
-        processes = refute_module.worker_processes(50)
+    def test_stderr_names_the_cpus(self, capsys, monkeypatch):
+        # the CPUs the worker maps may use, however few processes a run forks
+        for cpus, clause in ((1, " counterexamples) on 1 CPU in "),
+                             (2, " counterexamples) on 2 CPUs in ")):
+            monkeypatch.setattr(workers_module, "_cpus", lambda: list(range(cpus)))
+            for samples in ("0", "5", "50"):
+                code, _, err = run_cli(capsys, "refute", "3", "5", "--samples", samples)
+                assert code == 0 and clause in err
+        # without os.fork every map runs in process, on one CPU
+        monkeypatch.undo()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.delattr(os, "fork")
         code, _, err = run_cli(capsys, "refute", "3", "5", "--samples", "50")
-        assert code == 0 and f", {processes} worker processes) in " in err
-        code, _, err = run_cli(capsys, "refute", "3", "5", "--samples", "0")
-        assert code == 0 and ", 0 worker processes) in " in err
+        assert code == 0 and " counterexamples) on 1 CPU in " in err
 
     def test_stdout_is_one_json_document(self):
         # a fresh interpreter whose stdout is a pipe, so that it is block

@@ -58,8 +58,23 @@ def test_bad_generator_reports_line():
 
 
 def test_empty_file():
-    with pytest.raises(GroupFileError, match="empty"):
+    with pytest.raises(GroupFileError, match="empty") as info:
         parse_first("# nothing here\n")
+    assert info.value.line == 3  # the `---` that closes the section
+
+
+@pytest.mark.parametrize("text, line", [
+    # a middle section is named by the `---` that closes it
+    ("degree: 2\n(1 2)\n---\n---\ndegree: 1\n", 4),
+    # the last section by the `---` that opens it
+    ("degree: 2\n---\ndegree: 1\n---\n# nothing\n", 4),
+    ("degree: 2\n---\n\ndegree: 1\n\n---\n", 6),
+])
+def test_empty_section_names_its_separator(text, line):
+    with pytest.raises(GroupFileError) as info:
+        parse_multi_group_text(text)
+    assert info.value.line == line
+    assert str(info.value) == f"line {line}: empty group section"
 
 
 def test_multi_group_round_trip():
@@ -76,6 +91,15 @@ def test_multi_group_round_trip():
 def test_multi_group_wrong_count():
     with pytest.raises(GroupFileError, match="expected 3 groups"):
         parse_multi_group_text("degree: 2\n(1 2)\n")
+
+
+def test_section_count_names_no_line():
+    # the count is a fact of the whole file, not of one of its lines
+    with pytest.raises(GroupFileError) as info:
+        parse_multi_group_text("degree: 2\n---\ndegree: 2\n")
+    assert info.value.line is None
+    assert str(info.value) == ("expected 3 groups separated by '---' lines, "
+                               "found 2 sections")
 
 
 def test_non_utf8_file_reports_line(tmp_path):

@@ -81,10 +81,10 @@ def record_analysis(monkeypatch):
 
     map_in_order = refute_module.map_in_order
 
-    def recording_map(processes, func, items, chunksize):
+    def recording_map(func, items, chunksize):
         if func is _analyze_sample:
             orders.extend(refute_module._group(tables).order() for tables in items)
-        return map_in_order(processes, func, items, chunksize)
+        return map_in_order(func, items, chunksize)
 
     monkeypatch.setattr(refute_module, "_draw_generators", recording_draw)
     monkeypatch.setattr(refute_module, "map_in_order", recording_map)
@@ -149,7 +149,6 @@ def test_report_does_not_depend_on_the_worker_count(monkeypatch, p, q, samples, 
     reports = []
     for cpus in (1, 2):
         on_cpus(monkeypatch, cpus)
-        assert refute_module.worker_processes(samples) == (0 if cpus == 1 else 2)
         reports.append(refute_module.refute(p, q, samples, seed).to_json_dict())
     assert reports[0] == reports[1]
 
@@ -162,10 +161,10 @@ def test_samples_are_held_one_batch_at_a_time(monkeypatch):
     map_in_order = refute_module.map_in_order
     screened = []  # the sample count of each screen map
 
-    def recording_map(processes, func, items, chunksize):
+    def recording_map(func, items, chunksize):
         if func is refute_module._screen:
             screened.append(len(items))
-        return map_in_order(processes, func, items, chunksize)
+        return map_in_order(func, items, chunksize)
 
     for cpus in (1, 2):
         for seed in (1, 2):
@@ -241,7 +240,6 @@ def test_no_sample_starts_no_process(monkeypatch):
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert refute_module.worker_processes(0) == 0
     assert refute_module.refute(3, 5, 0, 1).samples_tested == 0
 
 
