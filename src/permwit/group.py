@@ -18,8 +18,12 @@ Python-level kernel.  After one breadth-first pass per level over the
 input generators, a level's orbit and transversal only grow, so each
 Schreier generator is sifted at most once (section 4.4); those of the edges
 that added a point are the identity (Schreier's lemma, section 4.1) and
-are never formed.  A chain is complete when its constructor returns, and
-never changes after that.
+are never formed.  Given a proven upper bound on |G|, the check stops as
+soon as the transversal sizes multiply to it: a partial chain's product
+never exceeds |G|, so reaching the bound proves the chain complete, and
+every Schreier generator left unchecked would sift to the identity.  A
+chain is complete when its constructor returns, and never changes after
+that.
 
 Conjugacy classes and the normal-subgroup lattice are enumerated exactly
 for groups of at most ENUMERATION_BUDGET elements; each class is kept as
@@ -51,7 +55,7 @@ from random import Random
 from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from permwit import kernels
-from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
+from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup, PermwitError
 from permwit.perm import Permutation, parse_cycles
 
 ENUMERATION_BUDGET = 10000
@@ -87,10 +91,16 @@ class StabilizerChain:
     for pointwise stabilizers).  `order_limit` aborts construction with
     _OrderLimitHit as soon as the transversal-size product exceeds it;
     a chain that finishes under a limit is a complete, valid chain.
+    `order_bound` is a proven upper bound on |G|: the Schreier check stops
+    once the product reaches it, and a product above it raises
+    PermwitError, since the proof of the bound is then broken.  With the
+    bound equal to |G|, the base, transversals and level generators are
+    those of the chain built without it.
     """
 
     def __init__(self, degree: int, gen_tables: Sequence[bytes],
-                 base_prefix: Sequence[int] = (), order_limit: Optional[int] = None):
+                 base_prefix: Sequence[int] = (), order_limit: Optional[int] = None,
+                 order_bound: Optional[int] = None):
         self.degree = degree
         self._ident = bytes(range(degree))
         self._limit = order_limit
@@ -112,11 +122,17 @@ class StabilizerChain:
             self._extend(i, [b], self._level_gens[i])
         # check the Schreier condition bottom-up; a failing level yields a
         # new strong generator at the level where its residue stops
-        # sifting, and the check resumes there
+        # sifting, and the check resumes there; a product that reaches
+        # order_bound ends the check
         i = len(self.base) - 1
-        while i >= 0:
+        while i >= 0 and (order_bound is None or self.order() < order_bound):
             stop = self._check_level(i)
             i = i - 1 if stop is None else stop
+        if order_bound is not None and self.order() > order_bound:
+            raise PermwitError(
+                f"the chain's order {self.order()} exceeds the proven bound {order_bound}")
+        for edges in self._edges:  # unchecked edges of a chain stopped at its bound
+            edges.clear()
 
     def _append_level(self, point: int) -> None:
         self.base.append(point)
@@ -284,8 +300,12 @@ class PermGroup:
             self._chain = StabilizerChain(self._degree, self._tables)
         return self._chain
 
-    def order(self) -> int:
-        return self.chain.order()
+    def order(self, bound: Optional[int] = None) -> int:
+        """|G|.  `bound`, a proven upper bound on |G|, lets a chain not built
+        yet stop its Schreier check once its order reaches it."""
+        if self._chain is None:
+            self._chain = StabilizerChain(self._degree, self._tables, order_bound=bound)
+        return self._chain.order()
 
     def order_exceeds(self, limit: int) -> bool:
         """True iff |G| > limit, aborting the chain build early when possible."""

@@ -5,19 +5,25 @@ orders here are tiny), which keeps isomorphism testing exact: a greedy
 generating set, order-profile pruning, and a backtracking search that
 self-checks any mapping it returns.
 
-A quotient is built in one breadth-first pass over the cosets once its
-index |G|/|N| is known to be at most QUOTIENT_BUDGET; the isomorphism
-search gives up after ISO_NODE_BUDGET nodes.
+A quotient is built from one breadth-first walk over the left cosets xN
+that G's generators reach from N.  `quotient` walks once the index
+|G|/|N| is known to be at most QUOTIENT_BUDGET; a walk made before the
+index is known (`walk_cosets`) stops past QUOTIENT_BUDGET cosets.  Each
+coset is identified by a canonical key, the element of xN whose images of
+N's base points are least in base order, which is looked up in a dict, so
+a walk is linear in the index.  A finished walk that finds c cosets
+proves |G| <= c |N| with no chain of G.  The isomorphism search gives up
+after ISO_NODE_BUDGET nodes.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from permwit import kernels
 from permwit.errors import BudgetExceeded, IsomorphismUndecided, NotNormal, PermwitError
-from permwit.group import PermGroup, is_normal
+from permwit.group import PermGroup, StabilizerChain, is_normal
 from permwit.perm import Permutation
 
 QUOTIENT_BUDGET = 1000  # largest index quotient() will tabulate
@@ -70,56 +76,109 @@ def quotient(g_group: PermGroup, n_group: PermGroup) -> CayleyTable:
     """The factor group G/N as a Cayley table on coset representatives.
 
     Requires N normal in G and [G:N] = |G|/|N| at most QUOTIENT_BUDGET,
-    checked before any coset is sought.  One breadth-first pass over the
-    cosets finds the representatives and how each generator permutes the
-    cosets; row a of the table is the row of a's parent coset followed
-    by the generator that found a.
+    checked before any coset is sought.  One breadth-first walk over the
+    cosets (`walk_cosets`) finds the representatives and how each
+    generator permutes the cosets; row a of the table is the row of a's
+    parent coset followed by the generator that found a.
     """
     if not is_normal(n_group, g_group):
         raise NotNormal("the subgroup is not normal, so the quotient is undefined")
     return _coset_table(g_group, n_group)
 
 
-def _coset_table(g_group: PermGroup, n_group: PermGroup) -> CayleyTable:
+class CosetWalk(NamedTuple):
+    """The left cosets xN reached from N by G's generators, breadth first.
+
+    reps[c] represents coset c as a 256-byte padded table, and reps[0] is
+    the identity; parents[c - 1] is the (generator, source coset) pair that
+    found coset c; action[gi][c] is the coset of generator gi times
+    reps[c].  A walk that stopped past QUOTIENT_BUDGET cosets is not
+    `finished`, and its lists are cut short.
+    """
+
+    reps: List[bytes]
+    parents: List[Tuple[int, int]]
+    action: List[List[int]]
+    finished: bool
+
+
+def _coset_key(chain: StabilizerChain) -> Callable[[bytes], bytes]:
+    """The canonical key of a left coset xH, for H given by its complete
+    chain and x padded to 256 bytes: the element of xH whose images of the
+    base points are least, taken in base order, padded.
+
+    Level k's orbit points are H^(k)'s images of base[k], so the elements
+    of x H^(k) send base[k] to x's images of those points; x is multiplied
+    by the representative of the point with the least image, which fixes
+    the earlier base points, and the next level refines the result.
+    """
+    pad = kernels.PADDED_IDENTITY[chain.degree:]
+    levels = []
+    for trans in chain.transversals:
+        points = bytes(trans)
+        levels.append((points, [trans[y] + pad for y in points]))
+
+    def key(x: bytes) -> bytes:
+        for points, reps in levels:
+            images = points.translate(x)
+            x = reps[images.index(min(images))].translate(x)
+        return x
+    return key
+
+
+def walk_cosets(g_group: PermGroup, n_group: PermGroup) -> CosetWalk:
+    """Walk the left cosets xN that G's generators reach from N, breadth
+    first, with one key (`_coset_key`) and one dict lookup per product.
+    The walk stops, not `finished`, at coset QUOTIENT_BUDGET + 1.
+
+    N need not lie in G or be normal in it: G permutes the left cosets of
+    N in the symmetric group, and the stabilizer of N is G & N, so a
+    finished walk that finds c cosets proves |G| = c |G & N| <= c |N|
+    (orbit-stabilizer).
+    """
+    key = _coset_key(n_group.chain)
+    pad = kernels.PADDED_IDENTITY[g_group.degree:]
+    gen_tables = [g.table + pad for g in g_group.generators]
+    reps = [kernels.PADDED_IDENTITY]
+    coset_of = {key(reps[0]): 0}
+    parents: List[Tuple[int, int]] = []
+    action: List[List[int]] = [[] for _ in gen_tables]
+    # reps grows while it is walked, so the walk reaches every coset
+    for b, rep in enumerate(reps):
+        for gi, g in enumerate(gen_tables):
+            x = rep.translate(g)  # g * rep
+            j = coset_of.setdefault(key(x), len(reps))
+            if j == len(reps):
+                if j == QUOTIENT_BUDGET:
+                    return CosetWalk(reps, parents, action, finished=False)
+                reps.append(x)
+                parents.append((gi, b))
+            action[gi].append(j)
+    return CosetWalk(reps, parents, action, finished=True)
+
+
+def _coset_table(g_group: PermGroup, n_group: PermGroup,
+                 walk: Optional[CosetWalk] = None) -> CayleyTable:
     """`quotient` for an N already known to be normal in G: the budget
-    check and the coset pass, without testing normality again."""
+    check, then the table from `walk`, the walk of N's cosets under G's
+    generators, made here when not given."""
     index = g_group.order() // n_group.order()
     if index > QUOTIENT_BUDGET:
         raise BudgetExceeded(
             f"quotient index {index} exceeds the budget of {QUOTIENT_BUDGET}")
-    gen_tables = [g.table for g in g_group.generators]
-    n_chain = n_group.chain
-
-    reps = [bytes(range(g_group.degree))]
-    rep_invs = list(reps)
-    parents: List[Tuple[int, int]] = []  # (generator, source) of cosets 1, 2, ...
-    gen_action: List[List[int]] = [[] for _ in gen_tables]
-
-    def coset_of(x: bytes) -> int:  # len(reps) for a coset not found yet
-        for j, rinv in enumerate(rep_invs):
-            if n_chain.contains(kernels.compose(rinv, x)):
-                return j
-        return len(rep_invs)
-
-    # reps grows while it is walked, so the walk reaches every coset
-    for b, rep in enumerate(reps):
-        for gi, g in enumerate(gen_tables):
-            x = kernels.compose(g, rep)
-            j = coset_of(x)
-            if j == len(reps):
-                reps.append(x)
-                rep_invs.append(kernels.inverse(x))
-                parents.append((gi, b))
-            gen_action[gi].append(j)
-    if len(reps) != index:
-        raise PermwitError(f"found {len(reps)} cosets, but |G|/|N| = {index}")
+    if walk is None:
+        walk = walk_cosets(g_group, n_group)
+    if not walk.finished or len(walk.reps) != index:
+        found = len(walk.reps) if walk.finished else f"more than {QUOTIENT_BUDGET}"
+        raise PermwitError(f"found {found} cosets, but |G|/|N| = {index}")
 
     # row a lists the cosets of reps[a]*reps[b]; parents come before children
     table = [tuple(range(index))]
-    for gi, src in parents:
-        act = gen_action[gi]
+    for gi, src in walk.parents:
+        act = walk.action[gi]
         table.append(tuple(act[x] for x in table[src]))
-    result = CayleyTable(reps=tuple(Permutation._from_table(t) for t in reps),
+    degree = g_group.degree
+    result = CayleyTable(reps=tuple(Permutation._from_table(t[:degree]) for t in walk.reps),
                          table=tuple(table))
     result.validate()
     return result

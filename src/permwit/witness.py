@@ -23,7 +23,7 @@ from permwit.errors import DegreeMismatch, HypothesisError, PermwitError
 from permwit.group import PermGroup, is_normal
 from permwit.numthy import euler_phi, factorize, is_prime, unit_of_order
 from permwit.perm import MAX_DEGREE, Permutation
-from permwit.quotient import _coset_table, find_isomorphism
+from permwit.quotient import _coset_table, find_isomorphism, walk_cosets
 
 
 class Clause(NamedTuple):
@@ -137,8 +137,14 @@ def verify_candidate(g_group: PermGroup, n1: PermGroup, n2: PermGroup,
     """
     if n1.degree != g_group.degree or n2.degree != g_group.degree:
         raise DegreeMismatch("inconsistent degrees among groups")
-    # the order first: its chain then gives clause (a)'s transitivity
-    order_g = g_group.order()
+    # walk N1's and N2's cosets first: a finished walk of c cosets proves
+    # |G| <= c |N| (`walk_cosets`), and the least such bound lets G's chain
+    # stop its Schreier check once it is reached; that chain then gives
+    # clause (a)'s transitivity, and clause (d) reuses the walks
+    walks = [walk_cosets(g_group, sub) for sub in (n1, n2)]
+    order_g = g_group.order(min((len(w.reps) * sub.order()
+                                 for w, sub in zip(walks, (n1, n2)) if w.finished),
+                                default=None))
     clause_a = Clause(
         g_group.is_transitive(),
         f"G transitive on {g_group.degree} points")
@@ -172,8 +178,8 @@ def verify_candidate(g_group: PermGroup, n1: PermGroup, n2: PermGroup,
 
     if clause_b.ok and clause_c.ok:
         # both clauses tested normality, so the quotients skip that test
-        t1 = _coset_table(g_group, n1)
-        t2 = _coset_table(g_group, n2)
+        t1 = _coset_table(g_group, n1, walks[0])
+        t2 = _coset_table(g_group, n2, walks[1])
         mapping = find_isomorphism(t1, t2)
         clause_d = Clause(
             mapping is not None,

@@ -423,18 +423,32 @@ GOLDEN = {
         (1, "1d100c5c8214b698a353428b1938e2a84ecd3f7f2b8758c925760daa09ed3c05"),
     "verify w21_n1_is_n2.grp":
         (1, "1364c93b29e86ba6bca22c03253e2ca05f53218ca3d40f599040406a286c0d68"),
+    # S7 with N2 trivial: N2's coset walk stops past QUOTIENT_BUDGET cosets
+    "verify s7_a7_1.grp":
+        (1, "1ae9a0bd65a574852a3a5f9c5479b672965482891ec46f77712855338297aee8"),
+    "verify s7_1_1.grp":
+        (1, "9d9d68338389a404376b795c4a0bf78b0ce48a9fce8f520be872f830eb871343"),
 }
+
+
+def _s7_a7_trivial():
+    return (PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)"),
+            PermGroup.from_cycles(7, "(1 2 3)", "(3 4 5 6 7)"),
+            PermGroup.trivial(7))
 
 
 # the group files that verify and embed read: the degree-21 witness triple,
 # that triple with N2 = N1 (clause c fails, clause d is not evaluated), and
-# that triple with N1 = N2 (an intransitive N1).
+# that triple with N1 = N2 (an intransitive N1), and S7 with (A7, 1) and
+# (1, 1), whose trivial N has index 5040.
 # Each is written under a fixed name relative to the working directory, so
 # the "file" key the report echoes is the same in every run.
 GOLDEN_FILES = {
     "w21.grp": lambda w: [w.G, w.N1, w.N2],
     "w21_n2_is_n1.grp": lambda w: [w.G, w.N1, w.N1],
     "w21_n1_is_n2.grp": lambda w: [w.G, w.N2, w.N2],
+    "s7_a7_1.grp": lambda w: list(_s7_a7_trivial()),
+    "s7_1_1.grp": lambda w: [_s7_a7_trivial()[0], PermGroup.trivial(7), PermGroup.trivial(7)],
 }
 
 

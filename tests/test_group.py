@@ -9,7 +9,7 @@ import permwit.group as group_module
 import permwit.refute as refute_module
 from permwit import kernels
 from permwit.census import affine_group, census
-from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup
+from permwit.errors import BudgetExceeded, DegreeMismatch, NotASubgroup, PermwitError
 from permwit.group import (
     ENUMERATION_BUDGET,
     PermGroup,
@@ -18,7 +18,7 @@ from permwit.group import (
     is_normal,
 )
 from permwit.perm import Permutation, parse_cycles
-from permwit.witness import construct_witness
+from permwit.witness import construct_witness, valid_primes
 from permwit.wreath import WreathElement
 
 from samplers import random_group_with_normal, random_permutation
@@ -760,6 +760,48 @@ def test_order_limit_abort_is_exact(seed):
         group = PermGroup(gens, degree=degree)
         assert group.order_exceeds(limit) == (order > limit)
         assert group.order() == order
+
+
+def witness_groups():
+    """G, N1 and N2 of every witness with n <= 64."""
+    witnesses = [construct_witness(n, p) for n in range(2, 65) for p in valid_primes(n)]
+    return [group for w in witnesses for group in (w.G, w.N1, w.N2)]
+
+
+def census_groups():
+    return [entry.group for q in (5, 7) for entry in census(q)]
+
+
+def random_groups():
+    rng = Random(59)
+    groups = []
+    for _ in range(40):
+        degree = rng.randint(2, 9)
+        groups.append(PermGroup([random_cycle(degree, rng) for _ in range(rng.randint(0, 3))],
+                                degree=degree))
+    return groups
+
+
+def chain_parts(chain):
+    return (chain.base, [list(t.items()) for t in chain.transversals],
+            [chain.stabilizer_gens(k) for k in range(len(chain.base))])
+
+
+@pytest.mark.parametrize("corpus", [witness_groups, census_groups, random_groups],
+                         ids=["witness", "census", "random"])
+def test_order_bound_is_exact(corpus):
+    # a chain whose Schreier check stops at the bound |G| is the chain the
+    # full check builds, a bound it never reaches changes nothing, and a
+    # bound below |G| is caught
+    for group in corpus():
+        tables = group._tables
+        full = StabilizerChain(group.degree, tables)
+        order = full.order()
+        for bound in (order, 2 * order):
+            bounded = StabilizerChain(group.degree, tables, order_bound=bound)
+            assert chain_parts(bounded) == chain_parts(full)
+        with pytest.raises(PermwitError, match="exceeds the proven bound"):
+            StabilizerChain(group.degree, tables, order_bound=order - 1)
 
 
 def assert_representatives_are_valid(chain, in_group):

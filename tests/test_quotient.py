@@ -118,6 +118,32 @@ class TestQuotient:
                     assert owners[ab] == [t.table[a][b]]
 
 
+def test_coset_key_matches_element_oracle():
+    # key(x) == key(y) exactly when x^-1 y lies in H, and key(x) is the
+    # element of xH whose base images are least, in base order
+    rng = Random(41)
+    pad = kernels.PADDED_IDENTITY
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        sub = PermGroup([random_permutation(n, rng) for _ in range(rng.randint(0, 2))],
+                        degree=n)
+        elements = sub.element_tables()
+        members = set(elements)
+        base = sub.chain.base
+        key = quotient_module._coset_key(sub.chain)
+        xs = [random_permutation(n, rng).table for _ in range(5)]
+        xs += [kernels.compose(x, rng.choice(elements)) for x in xs[:3]]
+        keys = [key(x + pad[n:]) for x in xs]
+        for x, k in zip(xs, keys):
+            assert len(k) == 256 and k[n:] == pad[n:]
+            coset = [kernels.compose(x, h) for h in elements]
+            assert k[:n] == min(coset, key=lambda e: [e[b] for b in base])
+        for x, kx in zip(xs, keys):
+            for y, ky in zip(xs, keys):
+                in_sub = kernels.compose(kernels.inverse(x), y) in members
+                assert (kx == ky) == in_sub
+
+
 class TestOrderHistogram:
     def test_cyclic_three(self):
         assert order_histogram(cyclic_table(3)) == ((1, 1), (3, 2))

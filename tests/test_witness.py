@@ -4,10 +4,12 @@ from permwit import group as group_module
 from permwit import quotient as quotient_module
 from permwit import witness as witness_module
 from permwit.errors import DegreeMismatch, HypothesisError
-from permwit.group import PermGroup
+from permwit.group import PermGroup, StabilizerChain
 from permwit.numthy import euler_phi, is_prime
 from permwit.perm import Permutation, parse_cycles
+from permwit.quotient import QUOTIENT_BUDGET
 from permwit.witness import (
+    Clause,
     Witness,
     build_sigma,
     construct_witness,
@@ -131,6 +133,73 @@ class TestVerifyCandidate:
         w = construct_witness(8, 2)
         report = verify_candidate(w.G, w.N1, w.N2, expected_index=2)
         assert report.clauses["d"].ok
+
+
+# the coset walks bound |G| by n * p, which G's chain reaches after its
+# first breadth-first pass, so its Schreier check never starts
+@pytest.mark.parametrize("n, p", [(253, 11), (210, 3), (128, 2)])
+def test_g_chain_sifts_no_schreier_generator(n, p, monkeypatch):
+    # a Schreier generator is sifted from level i + 1 >= 1; contains and
+    # sift start at level 0
+    starts = []
+    original = StabilizerChain._sift_from
+
+    def recording(chain, start, table):
+        starts.append((chain, start))
+        return original(chain, start, table)
+
+    monkeypatch.setattr(StabilizerChain, "_sift_from", recording)
+    w = construct_witness(n, p)
+    assert verify_witness(w).passed
+    g_chain = w.G.chain
+    assert any(chain is g_chain for chain, _ in starts)
+    assert [start for chain, start in starts if chain is g_chain and start > 0] == []
+
+
+def s7_a7_trivial():
+    return (PermGroup.from_cycles(7, "(1 2)", "(1 2 3 4 5 6 7)"),
+            PermGroup.from_cycles(7, "(1 2 3)", "(3 4 5 6 7)"),
+            PermGroup.trivial(7))
+
+
+# triples whose trivial N has index 5040, past QUOTIENT_BUDGET, so its
+# coset walk stops unfinished, and the clauses verify_candidate gives
+PAST_BUDGET = {
+    "S7_A7_1": (lambda: s7_a7_trivial(), {
+        "a": Clause(True, "G transitive on 7 points"),
+        "b": Clause(False, "indices differ: [G:N1]=2, [G:N2]=5040"),
+        "c": Clause(True, "N2 normal, not transitive, index 5040"),
+        "d": Clause(False, "not evaluated: clause (b) or (c) failed"),
+    }),
+    "S7_1_1": (lambda: (s7_a7_trivial()[0], PermGroup.trivial(7), PermGroup.trivial(7)), {
+        "a": Clause(True, "G transitive on 7 points"),
+        "b": Clause(False, "N1 is not transitive, expected the opposite"),
+        "c": Clause(True, "N2 normal, not transitive, index 5040"),
+        "d": Clause(False, "not evaluated: clause (b) or (c) failed"),
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAST_BUDGET))
+def test_walks_past_the_budget_stop(name, monkeypatch):
+    triple, clauses = PAST_BUDGET[name]
+    g_group, n1, n2 = triple()
+    keys_per_walk = []
+    coset_key = quotient_module._coset_key
+
+    def counting_coset_key(chain):
+        key = coset_key(chain)
+        keys_per_walk.append(0)
+
+        def counted(x):
+            keys_per_walk[-1] += 1
+            return key(x)
+        return counted
+
+    monkeypatch.setattr(quotient_module, "_coset_key", counting_coset_key)
+    assert verify_candidate(g_group, n1, n2).clauses == clauses
+    assert len(keys_per_walk) == 2
+    assert max(keys_per_walk) <= (QUOTIENT_BUDGET + 1) * len(g_group.generators)
 
 
 class TestHypothesisSweep:
