@@ -14,34 +14,32 @@ witness clause checker; at the seeds the tests and the benchmark run,
 none does (pairs_tested is 0).  ROADMAP items 2, 3 and 9 plan to change
 that.
 
-The search runs in four phases, the first three on one batch of _BATCH
-samples at a time, so that memory does not grow with the sample count:
+The search runs in three phases on one batch of _BATCH samples at a
+time, so that memory does not grow with the sample count:
 
 1. Draw: the batch's generator tables, in sample order, from one
    Random(seed) stream, in this process.
-2. Screen: each sample is intransitive, over ENUMERATION_BUDGET, or small
-   with its order; spread over the workers, many samples per chunk.
-3. Dedupe: in this process, in sample order.  A small sample whose order
-   equals that of a group already listed, and whose generators all lie
-   in that group's stabilizer chain, is the same group; otherwise its
-   group is listed.  Chains are built only for small samples.
-4. Analyse: each listed group once, spread over the workers, one group
-   per chunk, since their costs are very uneven; then each small sample
-   adds its group's outcome to the report, in sample order.  A worker
-   builds the group again from its generator tables, so the elements and
-   lattice of an analysed group live only as long as its analysis.  A
-   counterexample entry lists the generators of the first sample that
-   produced its group.
+2. Outcome: each sample in one worker call (`_sample_outcome`), spread
+   over the workers.  Its group is intransitive, over
+   ENUMERATION_BUDGET, or small; a small group is analysed on the
+   stabilizer chain its screen built, unless the worker has already
+   analysed a group of its order whose chain holds every generator of
+   the sample, which is then the same group.  That memo keeps only each
+   group's chain and pair count, and only for a group without
+   counterexamples, so the elements and lattice of an analysed group
+   live only as long as its analysis, and a counterexample entry lists
+   the generators of the sample that produced it.
+3. Sum: the outcomes, in sample order, in this process.
 
-The screen and the analysis go through `workers.map_in_order`: one
-worker per chunk, up to one per CPU, each on its own CPU; with one chunk,
-one CPU or no fork, the same functions run in process.  Every worker
-function depends on its input alone, results come back in input order,
-and all that depends on order (the draw, the dedupe and the sums) runs in
-this process, so the report cannot depend on the number of workers or on
-which finishes first.  Reports are byte-for-byte deterministic given (p,
-q, samples, seed); the command line times the run and prints the time and
-the CPU count on stderr only.
+The outcomes go through `workers.map_in_order`: one worker per chunk, up
+to one per CPU, each on its own CPU; with one chunk, one CPU or no fork,
+the same function runs in process.  Each outcome depends only on its
+sample; the memo only skips an analysis whose result it already holds.
+Results come back in input order, and all that depends on order (the
+draw and the sums) runs in this process, so the report cannot depend on
+the number of workers or on which finishes first.  Reports are
+byte-for-byte deterministic given (p, q, samples, seed); the command line
+times the run and prints the time and the CPU count on stderr only.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ from random import Random
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from permwit.errors import BudgetExceeded, HypothesisError
-from permwit.group import ENUMERATION_BUDGET, PermGroup
+from permwit.group import ENUMERATION_BUDGET, PermGroup, StabilizerChain
 from permwit.numthy import pq_hypothesis_failure
 from permwit.perm import MAX_DEGREE, Permutation
 from permwit.census import EXACT_LIMIT, census_report
@@ -154,31 +152,14 @@ def _draw_generators(p: int, q: int, rng: Random) -> List[bytes]:
     return tables
 
 
-def _group(tables: List[bytes]) -> PermGroup:
-    return PermGroup([Permutation._from_table(t) for t in tables], degree=len(tables[0]))
-
-
-def _screen(tables: List[bytes]) -> Optional[int]:
-    """None if the sample's group is intransitive; else its order if that
-    is within ENUMERATION_BUDGET, and 0 if it is larger."""
-    group = _group(tables)
-    if not group.is_transitive():
-        return None
-    if group.order_exceeds(ENUMERATION_BUDGET):
-        return 0
-    return group.order()
-
-
-def _analyze_sample(tables: List[bytes]) -> Tuple[int, List[dict]]:
+def _analyze_sample(group: PermGroup) -> Tuple[int, List[dict]]:
     """The number of equal-index (transitive, intransitive) pairs of normal
-    subgroups of the group generated by `tables`, which must be transitive
-    and within ENUMERATION_BUDGET, and the counterexamples among them."""
-    group = _group(tables)
+    subgroups of `group`, which must be transitive and within
+    ENUMERATION_BUDGET, and the counterexamples among them."""
     pairs = 0
     counterexamples = []
-    normals = group.all_normal_subgroups()
     transitive_subs, other_subs = [], []
-    for sub in normals:
+    for sub in group.all_normal_subgroups():
         (transitive_subs if sub.group.is_transitive() else other_subs).append(sub)
     for n1 in transitive_subs:
         for n2 in other_subs:
@@ -198,14 +179,37 @@ def _analyze_sample(tables: List[bytes]) -> Tuple[int, List[dict]]:
     return pairs, counterexamples
 
 
-# samples drawn, screened and deduped together
+def _sample_outcome(tables: List[bytes], memo: Dict[int, List[Tuple[StabilizerChain, int]]]
+                    ) -> Optional[Tuple[Optional[int], List[dict]]]:
+    """One sample from start to finish: None if its group is intransitive,
+    (None, []) if the group is over ENUMERATION_BUDGET, and otherwise the
+    group's (pairs, counterexamples) from `_analyze_sample`.  `memo` maps
+    an order to the (chain, pairs) of each group of that order analysed
+    with this memo and found to have no counterexample."""
+    group = PermGroup([Permutation._from_table(t) for t in tables], degree=len(tables[0]))
+    if not group.is_transitive():
+        return None
+    if group.order_exceeds(ENUMERATION_BUDGET):
+        return None, []
+    order = group.order()
+    for chain, pairs in memo.get(order, ()):
+        # equal order and every generator inside: the sample's group
+        if all(chain.contains(t) for t in tables):
+            return pairs, []
+    pairs, counterexamples = _analyze_sample(group)
+    if not counterexamples:
+        memo.setdefault(order, []).append((group.chain, pairs))
+    return pairs, counterexamples
+
+
+# samples drawn together, whose tables and outcomes are held at once
 _BATCH = 10_000
 
-# samples per screening chunk: a sample takes microseconds to screen, so a
-# chunk carries many, but few enough that the workers finish together (at
-# refute-15's 2000 samples, tasks of 250 left one worker idle for about
-# 15 ms of a 60 ms screen)
-_SCREEN_CHUNK = 50
+# samples per chunk: most samples are screened out in microseconds, while
+# an analysis takes up to tens of milliseconds, so a chunk carries many
+# samples, but few enough that the workers, which claim chunks in order,
+# finish together
+_CHUNK = 50
 
 
 def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
@@ -223,37 +227,16 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
     }
 
     rng = Random(seed)
-    transitive_found = skipped_large = 0
-    # the distinct small transitive groups, first seen first, and for each
-    # order the indices of the listed groups of that order; a sample of
-    # equal order whose generators lie in a listed group's chain is that
-    # group
-    groups: List[PermGroup] = []
-    listed_tables: List[List[bytes]] = []  # per listed group, its first sample's tables
-    same_order: Dict[int, List[int]] = {}
-    group_of: List[int] = []  # per small sample, its index in `groups`
+    memo: Dict[int, List[Tuple[StabilizerChain, int]]] = {}
+    transitive_found = 0
+    small: List[Tuple[int, List[dict]]] = []  # the outcomes of the small samples
     for start in range(0, samples, _BATCH):
         drawn = [_draw_generators(p, q, rng)
                  for _ in range(min(_BATCH, samples - start))]
-        screened = map_in_order(_screen, drawn, _SCREEN_CHUNK)
-        for tables, order in zip(drawn, screened):
-            if order is None:
-                continue
-            transitive_found += 1
-            if order == 0:
-                skipped_large += 1
-                continue
-            listed = same_order.setdefault(order, [])
-            k = next((k for k in listed
-                      if all(groups[k].chain.contains(t) for t in tables)), None)
-            if k is None:
-                k = len(groups)
-                groups.append(_group(tables))
-                listed_tables.append(tables)
-                listed.append(k)
-            group_of.append(k)
-    outcomes = map_in_order(_analyze_sample, listed_tables, 1)
-    # each small sample adds its group's outcome, in sample order
+        outcomes = map_in_order(lambda tables: _sample_outcome(tables, memo), drawn, _CHUNK)
+        transitive = [outcome for outcome in outcomes if outcome is not None]
+        transitive_found += len(transitive)
+        small += [outcome for outcome in transitive if outcome[0] is not None]
     return RefutationReport(
         p=p, q=q, degree=p * q,
         hypothesis_ok=True,
@@ -264,8 +247,8 @@ def refute(p: int, q: int, samples: int, seed: int) -> RefutationReport:
         census_verdicts=verdicts,
         samples_tested=samples,
         transitive_found=transitive_found,
-        skipped_large=skipped_large,
-        small_groups_tested=len(group_of),
-        pairs_tested=sum(outcomes[k][0] for k in group_of),
-        counterexamples=[c for k in group_of for c in outcomes[k][1]],
+        skipped_large=transitive_found - len(small),
+        small_groups_tested=len(small),
+        pairs_tested=sum(pairs for pairs, _ in small),
+        counterexamples=[c for _, found in small for c in found],
     )

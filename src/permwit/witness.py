@@ -23,7 +23,7 @@ from permwit.errors import DegreeMismatch, HypothesisError, PermwitError
 from permwit.group import PermGroup, is_normal
 from permwit.numthy import euler_phi, factorize, is_prime, unit_of_order
 from permwit.perm import MAX_DEGREE, Permutation
-from permwit.quotient import _coset_table, find_isomorphism, walk_cosets
+from permwit.quotient import CosetWalk, _coset_table, find_isomorphism, walk_cosets
 
 
 class Clause(NamedTuple):
@@ -137,14 +137,20 @@ def verify_candidate(g_group: PermGroup, n1: PermGroup, n2: PermGroup,
     """
     if n1.degree != g_group.degree or n2.degree != g_group.degree:
         raise DegreeMismatch("inconsistent degrees among groups")
-    # walk N1's and N2's cosets first: a finished walk of c cosets proves
-    # |G| <= c |N| (`walk_cosets`), and the least such bound lets G's chain
-    # stop its Schreier check once it is reached; that chain then gives
-    # clause (a)'s transitivity, and clause (d) reuses the walks
-    walks = [walk_cosets(g_group, sub) for sub in (n1, n2)]
-    order_g = g_group.order(min((len(w.reps) * sub.order()
-                                 for w, sub in zip(walks, (n1, n2)) if w.finished),
-                                default=None))
+    # walk the cosets of the larger of N1 and N2 first (N1 on a tie), and
+    # the other's only if that walk stopped unfinished: a finished walk of
+    # c cosets proves |G| <= c |N| (`walk_cosets`), and that bound lets
+    # G's chain stop its Schreier check once it is reached; the chain then
+    # gives clause (a)'s transitivity, and clause (d) reuses the walks made
+    subs = (n1, n2)
+    walks: List[Optional[CosetWalk]] = [None, None]
+    bound = None
+    for k in ((1, 0) if n2.order() > n1.order() else (0, 1)):
+        walks[k] = walk = walk_cosets(g_group, subs[k])
+        if walk.finished:
+            bound = len(walk.reps) * subs[k].order()
+            break
+    order_g = g_group.order(bound)
     clause_a = Clause(
         g_group.is_transitive(),
         f"G transitive on {g_group.degree} points")
@@ -177,7 +183,8 @@ def verify_candidate(g_group: PermGroup, n1: PermGroup, n2: PermGroup,
             clause_b = Clause(False, f"indices differ: [G:N1]={idx1}, [G:N2]={idx2}")
 
     if clause_b.ok and clause_c.ok:
-        # both clauses tested normality, so the quotients skip that test
+        # both clauses tested normality, so the quotients skip that test;
+        # `_coset_table` makes a walk not made above
         t1 = _coset_table(g_group, n1, walks[0])
         t2 = _coset_table(g_group, n2, walks[1])
         mapping = find_isomorphism(t1, t2)

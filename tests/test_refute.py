@@ -2,7 +2,8 @@
 
 The positive control: on witness groups, where counterexamples to the pq
 statement exist, the analysis must find them.  The cache: a group drawn
-more than once, from any generating set, is analysed once.  The draw:
+more than once, from any generating set, is analysed once per worker,
+and each outcome depends only on its sample.  The draw:
 one seeded stream gives the same tables in every version.  The workers:
 the report is the same whatever the number of worker processes or of
 batches, no worker outlives the call, and an error in a worker reaches
@@ -33,7 +34,7 @@ from permwit.wreath import WreathElement
 def test_analysis_reports_witness_counterexamples(n, p):
     w = construct_witness(n, p)
     assert w.G.is_transitive() and not w.G.order_exceeds(ENUMERATION_BUDGET)
-    pairs, counterexamples = _analyze_sample([g.table for g in w.G.generators])
+    pairs, counterexamples = _analyze_sample(w.G)
     assert pairs >= 1
     assert counterexamples
     for found in counterexamples:
@@ -69,8 +70,8 @@ def on_cpus(monkeypatch, count):
 
 
 def record_analysis(monkeypatch):
-    """Record every sample refute draws, and the order of every group it
-    hands to the analysis map.  Returns (samples, orders)."""
+    """Record every sample refute draws, and the order of every group
+    analysed in this process.  Returns (samples, orders)."""
     draw = refute_module._draw_generators
     samples, orders = [], []
 
@@ -79,15 +80,12 @@ def record_analysis(monkeypatch):
         samples.append(tables)
         return tables
 
-    map_in_order = refute_module.map_in_order
-
-    def recording_map(func, items, chunksize):
-        if func is _analyze_sample:
-            orders.extend(refute_module._group(tables).order() for tables in items)
-        return map_in_order(func, items, chunksize)
+    def recording_analysis(group):
+        orders.append(group.order())
+        return _analyze_sample(group)
 
     monkeypatch.setattr(refute_module, "_draw_generators", recording_draw)
-    monkeypatch.setattr(refute_module, "map_in_order", recording_map)
+    monkeypatch.setattr(refute_module, "_analyze_sample", recording_analysis)
     return samples, orders
 
 
@@ -119,14 +117,16 @@ def test_one_group_drawn_twice_is_analysed_once(monkeypatch):
 
 
 def test_one_lattice_per_distinct_small_group(monkeypatch):
-    runs = []
-    for cpus in (1, 2):
-        on_cpus(monkeypatch, cpus)
-        samples, orders = record_analysis(monkeypatch)
-        report = refute_module.refute(3, 5, 2000, 1)
-        monkeypatch.undo()
-        assert len(samples) == 2000
-        runs.append((report.small_groups_tested, len(orders)))
+    # on one CPU every sample goes through one memo, so each distinct group
+    # is analysed once; on two each worker has its own memo, and the
+    # report is the same
+    on_cpus(monkeypatch, 1)
+    samples, orders = record_analysis(monkeypatch)
+    report = refute_module.refute(3, 5, 2000, 1)
+    monkeypatch.undo()
+    assert len(samples) == 2000
+    on_cpus(monkeypatch, 2)
+    assert refute_module.refute(3, 5, 2000, 1) == report
     # oracle: transitivity by orbit, elements by closure; only the budget
     # test reads a stabilizer chain
     element_sets = set()
@@ -140,7 +140,35 @@ def test_one_lattice_per_distinct_small_group(monkeypatch):
         small += 1
         element_sets.add(frozenset(kernels.close_elements(15, tables, ENUMERATION_BUDGET)))
     assert small > len(element_sets) > 1
-    assert runs == [(small, len(element_sets))] * 2
+    assert (report.small_groups_tested, len(orders)) == (small, len(element_sets))
+
+
+def test_an_outcome_depends_only_on_its_sample():
+    # the first 500 draws of Random(1) and of Random(2) at (3, 5), then the
+    # generator tables of three witnesses, which have counterexamples, the
+    # last one twice
+    corpus = []
+    for seed in (1, 2):
+        rng = Random(seed)
+        corpus += [refute_module._draw_generators(3, 5, rng) for _ in range(500)]
+    witnesses = [construct_witness(n, p).G for n, p in ((6, 2), (9, 3), (21, 3), (21, 3))]
+    corpus += [[g.table for g in w.generators] for w in witnesses]
+    memo = {}
+    shared = [refute_module._sample_outcome(tables, memo) for tables in corpus]
+    fresh = [refute_module._sample_outcome(tables, {}) for tables in corpus]
+    assert shared == fresh
+    assert None in shared and (None, []) in shared
+    # the shared memo skipped analyses: it keeps fewer groups than there
+    # were small samples
+    small = [outcome for outcome in shared if outcome and outcome[0] is not None]
+    assert 0 < sum(len(known) for known in memo.values()) < len(small)
+    # a group with counterexamples is never kept, so each time it is drawn
+    # it is analysed again, and its counterexamples name its own generators
+    for w, (pairs, counterexamples) in zip(witnesses, shared[-4:]):
+        assert pairs >= 1 and counterexamples
+        assert all(c["G"] == [g.cycle_string() for g in w.generators]
+                   for c in counterexamples)
+    assert not {w.order() for w in witnesses} & set(memo)
 
 
 @pytest.mark.parametrize("p, q, samples, seed",
@@ -154,16 +182,15 @@ def test_report_does_not_depend_on_the_worker_count(monkeypatch, p, q, samples, 
 
 
 def test_samples_are_held_one_batch_at_a_time(monkeypatch):
-    # a run of several batches gives the report of one batch: the draw,
-    # the dedupe and the sums keep sample order across batches
+    # a run of several batches gives the report of one batch: the draw and
+    # the sums keep sample order across batches
     expected = {seed: refute_module.refute(3, 5, 2000, seed).to_json_dict()
                 for seed in (1, 2)}
     map_in_order = refute_module.map_in_order
-    screened = []  # the sample count of each screen map
+    mapped = []  # the sample count of each map
 
     def recording_map(func, items, chunksize):
-        if func is refute_module._screen:
-            screened.append(len(items))
+        mapped.append(len(items))
         return map_in_order(func, items, chunksize)
 
     for cpus in (1, 2):
@@ -171,10 +198,10 @@ def test_samples_are_held_one_batch_at_a_time(monkeypatch):
             on_cpus(monkeypatch, cpus)
             monkeypatch.setattr(refute_module, "_BATCH", 300)
             monkeypatch.setattr(refute_module, "map_in_order", recording_map)
-            screened.clear()
+            mapped.clear()
             report = refute_module.refute(3, 5, 2000, seed).to_json_dict()
             monkeypatch.undo()
-            assert screened == [300] * 6 + [200]
+            assert mapped == [300] * 6 + [200]
             assert report == expected[seed]
 
 

@@ -162,19 +162,27 @@ def s7_a7_trivial():
             PermGroup.trivial(7))
 
 
-# triples whose trivial N has index 5040, past QUOTIENT_BUDGET, so its
-# coset walk stops unfinished, and the clauses verify_candidate gives
+# triples with a trivial N, of index 5040, past QUOTIENT_BUDGET, so a walk
+# of its cosets stops unfinished; the coset walks verify_candidate makes
+# (the larger N first, the other only when that walk stops unfinished or
+# clause (d) needs it) and the clauses it gives
 PAST_BUDGET = {
-    "S7_A7_1": (lambda: s7_a7_trivial(), {
+    "S7_A7_1": (lambda: s7_a7_trivial(), 1, {
         "a": Clause(True, "G transitive on 7 points"),
         "b": Clause(False, "indices differ: [G:N1]=2, [G:N2]=5040"),
         "c": Clause(True, "N2 normal, not transitive, index 5040"),
         "d": Clause(False, "not evaluated: clause (b) or (c) failed"),
     }),
-    "S7_1_1": (lambda: (s7_a7_trivial()[0], PermGroup.trivial(7), PermGroup.trivial(7)), {
+    "S7_1_1": (lambda: (s7_a7_trivial()[0], PermGroup.trivial(7), PermGroup.trivial(7)), 2, {
         "a": Clause(True, "G transitive on 7 points"),
         "b": Clause(False, "N1 is not transitive, expected the opposite"),
         "c": Clause(True, "N2 normal, not transitive, index 5040"),
+        "d": Clause(False, "not evaluated: clause (b) or (c) failed"),
+    }),
+    "S7_1_A7": (lambda: (s7_a7_trivial()[0], PermGroup.trivial(7), s7_a7_trivial()[1]), 1, {
+        "a": Clause(True, "G transitive on 7 points"),
+        "b": Clause(False, "N1 is not transitive, expected the opposite"),
+        "c": Clause(False, "N2 is transitive, expected the opposite"),
         "d": Clause(False, "not evaluated: clause (b) or (c) failed"),
     }),
 }
@@ -182,7 +190,7 @@ PAST_BUDGET = {
 
 @pytest.mark.parametrize("name", sorted(PAST_BUDGET))
 def test_walks_past_the_budget_stop(name, monkeypatch):
-    triple, clauses = PAST_BUDGET[name]
+    triple, walks, clauses = PAST_BUDGET[name]
     g_group, n1, n2 = triple()
     keys_per_walk = []
     coset_key = quotient_module._coset_key
@@ -198,7 +206,7 @@ def test_walks_past_the_budget_stop(name, monkeypatch):
 
     monkeypatch.setattr(quotient_module, "_coset_key", counting_coset_key)
     assert verify_candidate(g_group, n1, n2).clauses == clauses
-    assert len(keys_per_walk) == 2
+    assert len(keys_per_walk) == walks
     assert max(keys_per_walk) <= (QUOTIENT_BUDGET + 1) * len(g_group.generators)
 
 

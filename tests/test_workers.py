@@ -154,17 +154,17 @@ def count_forks(monkeypatch):
     return pids
 
 
-# the processes each run forks on 1 and on 2 CPUs: a screen of one chunk
-# (at most 50 samples), an analysis of at most one listed group and the
-# census at q <= 5 run in process; census(7) forks for route B, and a
-# screen or analysis of several chunks forks one child on 2 CPUs
+# the processes each run forks on 1 and on 2 CPUs: a refute map of one
+# chunk (at most 50 samples) and the census at q <= 5 run in process;
+# census(7) forks for route B, and a refute map of several chunks forks
+# one child on 2 CPUs
 FORKS = {
     (refute, (3, 5, 0, 1)): (0, 0),
     (refute, (3, 5, 5, 1)): (0, 0),
-    (refute, (3, 5, 50, 1)): (0, 1),
-    (refute, (3, 5, 200, 1)): (0, 2),
-    (refute, (3, 5, 2000, 1)): (0, 2),
-    (refute, (5, 7, 300, 1)): (0, 3),
+    (refute, (3, 5, 50, 1)): (0, 0),
+    (refute, (3, 5, 200, 1)): (0, 1),
+    (refute, (3, 5, 2000, 1)): (0, 1),
+    (refute, (5, 7, 300, 1)): (0, 2),
     (census, (5,)): (0, 0),
     (census, (7,)): (0, 1),
 }
